@@ -60,6 +60,7 @@ from .geometry import (
     GroundSet,
     SignedDecomposition,
     chart_from_decomposition,
+    cross_check,
     curve_point,
     decompose_chart,
     enumerate_facets_geometric,

@@ -13,9 +13,9 @@ from itertools import combinations
 
 from .circular import (
     CircularComposition,
+    _compositions_nonneg,
     canonical_arcs,
     enumerate_facets_circular,
-    vertex_set,
 )
 from .errors import DegenerateComplexError
 from .facets import FacetComplex
@@ -80,7 +80,8 @@ def certificate(fc: FacetComplex) -> bytes:
 
 
 def complex_invariant(fc: FacetComplex) -> tuple:
-    """Cheap relabeling-invariant filter used before full certificates."""
+    """Cheap relabeling-invariant summary: complexes with equal
+    certificates have equal invariants."""
     fc = fc.restrict_to_vertices()
     degrees = [0] * fc.n_labels
     for f in fc.facets:
@@ -98,27 +99,18 @@ def complex_invariant(fc: FacetComplex) -> tuple:
     )
 
 
-def _positive_compositions(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _positive_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def enumerate_compositions(d: int, n_generators: int):
     """All compositions of n points with l = d, d-2, ... dividers (down
     to 0 or 1 by parity), one representative per dihedral class."""
     out = []
+    seen = set()
     for l in range(d % 2, d + 1, 2):
         if l == 0:
             out.append(CircularComposition(d, (n_generators,), dividers=0))
             continue
-        seen = set()
-        for arcs in _positive_compositions(n_generators, l):
-            canon = canonical_arcs(CircularComposition(d, arcs))
+        # positive arc sizes: nonnegative compositions of n - l, plus one
+        for extra in _compositions_nonneg(n_generators - l, l):
+            canon = canonical_arcs(CircularComposition(d, [m + 1 for m in extra]))
             if canon.arcs not in seen:
                 seen.add(canon.arcs)
                 out.append(canon)
@@ -129,34 +121,16 @@ def _type_candidates(d: int, n_vertices: int):
     """Compositions covering every combinatorial type on n vertices:
     fewer than d dividers at full size (all points are vertices), plus
     d dividers with arcs capped at 2 (larger arcs add no vertices)."""
-    candidates = [
-        c for c in enumerate_compositions(d, n_vertices) if c.l < d
-    ]
-    if d < n_vertices <= 2 * d:
-        seen = set()
-        for arcs in _positive_compositions(n_vertices, d):
-            if max(arcs) > 2:
-                continue
-            canon = canonical_arcs(CircularComposition(d, arcs))
-            if canon.arcs not in seen:
-                seen.add(canon.arcs)
-                candidates.append(canon)
-    return candidates
+    return [c for c in enumerate_compositions(d, n_vertices)
+            if c.l < d or max(c.arcs) <= 2]
 
 
 def distinct_types(d: int, n_vertices: int):
     """One representative composition per combinatorial type, each with
     its certificate, sorted by certificate bytes."""
-    groups = {}
-    for c in _type_candidates(d, n_vertices):
-        fc = enumerate_facets_circular(c).restrict_to_vertices()
-        groups.setdefault(complex_invariant(fc), []).append((c, fc))
     found = {}
-    for members in groups.values():
-        for c, fc in members:
-            cert = certificate(fc)
-            if cert not in found:
-                found[cert] = c
+    for c in _type_candidates(d, n_vertices):
+        found.setdefault(certificate(enumerate_facets_circular(c)), c)
     return sorted(found.items())
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, prod
 
 from .errors import (
     DimensionMismatchError,
@@ -209,7 +209,7 @@ def facet_count(c: CircularComposition) -> int:
     total = 0
     for rs in _compositions_nonneg(r, l):
         # both all-first-endpoint and all-last-endpoint divider picks
-        total += 2 * _prod(_binom(m[j] - 1 - rs[j], rs[j]) for j in range(l))
+        total += 2 * prod(_binom(m[j] - 1 - rs[j], rs[j]) for j in range(l))
         for q in range(1, l // 2 + 1):
             for support in combinations(range(l), 2 * q):
                 for a_set, b_set in (
@@ -226,13 +226,6 @@ def facet_count(c: CircularComposition) -> int:
                             term *= _binom(m[j] - 1 - rs[j], rs[j])
                     total += term
     return total
-
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
 
 
 def realize(c: CircularComposition):

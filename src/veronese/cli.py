@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
+from functools import partial
 
 from .canonical import certificate, table_report
 from .circular import (
@@ -25,15 +25,15 @@ from .circular import (
 from .classify import classify_composition
 from .errors import CrossCheckError, InputError
 from .exact import is_power_of_linear_form, rat, rat_str
-from .facets import FacetComplex, enumerate_facets_line, s123_decompose
+from .facets import FacetComplex
 from .geometry import (
     Chart,
     GroundSet,
     SignedDecomposition,
     chart_from_decomposition,
+    cross_check,
     decompose_chart,
     enumerate_facets_geometric,
-    facet_test_determinant,
     vertices_geometric,
 )
 
@@ -73,30 +73,6 @@ def _composition(args):
     return CircularComposition(args.d, _ints(args.arcs), dividers=dividers)
 
 
-def _cross_check(t_set, xi):
-    """Compute the facet set four independent ways."""
-    by_lambda = enumerate_facets_geometric(xi, t_set).facets
-    by_det = tuple(
-        idxs for idxs in combinations(range(t_set.n), xi.d)
-        if facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])
-    )
-    dec = decompose_chart(xi, t_set)
-    by_pa = enumerate_facets_line(dec).facets
-    by_s123 = tuple(
-        idxs for idxs in combinations(range(t_set.n), xi.d)
-        if s123_decompose(dec, [i + 1 for i in idxs]) is not None
-    )
-    report = {
-        "lambda": [list(f) for f in by_lambda],
-        "determinant": [list(f) for f in by_det],
-        "sigma_pa": [list(f) for f in by_pa],
-        "s123": [list(f) for f in by_s123],
-    }
-    if not by_lambda == by_det == by_pa == by_s123:
-        raise CrossCheckError(json.dumps(report))
-    return report
-
-
 def _emit(payload, fmt, csv_rows=None):
     if fmt == "csv" and csv_rows is not None:
         for row in csv_rows:
@@ -113,14 +89,14 @@ def _cmd_facets(args):
         fc = enumerate_facets_geometric(xi, t_set)
         out = {"facets": [list(f) for f in fc.facets]}
         if args.check:
-            out["check"] = _cross_check(t_set, xi)
+            out["check"] = cross_check(xi, t_set)
     else:
         c = _composition(args)
         fc = enumerate_facets_circular(c)
         out = {"facets": [list(f) for f in fc.facets]}
         if args.check:
             t_set, xi = realize(c)
-            out["check"] = _cross_check(t_set, xi)
+            out["check"] = cross_check(xi, t_set)
     _emit(out, args.format, csv_rows=out["facets"])
 
 
@@ -136,7 +112,7 @@ def _cmd_decompose(args):
         "dividers": comp.dividers,
     }
     if args.check:
-        _cross_check(t_set, xi)
+        cross_check(xi, t_set)
     _emit(out, args.format, csv_rows=[dec.sizes])
 
 
@@ -169,7 +145,7 @@ def _cmd_vertices(args):
         t_set, xi = _instance(args)
         verts = vertices_geometric(xi, t_set)
         if args.check:
-            _cross_check(t_set, xi)
+            cross_check(xi, t_set)
     else:
         verts = vertex_set(_composition(args))
     out = {"vertices": list(verts)}
@@ -215,91 +191,76 @@ def _cmd_certify(args):
     _emit(out, args.format, csv_rows=[[out["certificate"]]])
 
 
-def _add_instance_args(p, required=True):
-    p.add_argument("--t", help="comma-separated parameters, e.g. -3,-2,-1,1/2")
-    p.add_argument("--xi", help="comma-separated chart coefficients")
-    if not required:
+def _add_instance_args(p, with_arcs):
+    p.add_argument("--t", required=not with_arcs,
+                   help="comma-separated parameters, e.g. -3,-2,-1,1/2")
+    p.add_argument("--xi", required=not with_arcs,
+                   help="comma-separated chart coefficients")
+    if with_arcs:
         p.add_argument("--arcs", help="comma-separated arc sizes")
         p.add_argument("--dividers", type=int, default=None)
 
 
-def _global_flags(parser, suppress=False):
-    # registered on the main parser and again on every subparser, so the
-    # flags are accepted on either side of the subcommand
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json" if not suppress else default)
-    parser.add_argument("--seed", type=int,
-                        default=0 if not suppress else default,
-                        help="seed for randomized self-tests")
-    parser.add_argument("--jobs", type=int,
-                        default=1 if not suppress else default,
-                        help="worker count hint; output is identical for any value")
-    parser.add_argument("--check", action="store_true",
-                        default=False if not suppress else default,
-                        help="verify the four facet characterizations agree")
-
-
 def build_parser():
-    parser = argparse.ArgumentParser(prog="veronese")
-    _global_flags(parser)
+    # the global flags sit on the main parser and on every subparser, so
+    # they are accepted on either side of the subcommand; their defaults
+    # are suppressed, so a subparser never overwrites a value given before
+    # it, and main() supplies the defaults instead
+    common = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("json", "csv", "pretty"))
+    common.add_argument("--check", action="store_true",
+                        help="verify the four facet characterizations agree")
+    parser = argparse.ArgumentParser(prog="veronese", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
+    add_command = partial(sub.add_parser, parents=[common])
 
-    original_add_parser = sub.add_parser
-
-    def add_parser(*args, **kwargs):
-        p = original_add_parser(*args, **kwargs)
-        _global_flags(p, suppress=True)
-        return p
-
-    sub.add_parser = add_parser
-
-    p = sub.add_parser("facets", help="enumerate facets of an instance or composition")
+    p = add_command("facets", help="enumerate facets of an instance or composition")
     p.add_argument("--d", type=int, required=True)
-    _add_instance_args(p, required=False)
+    _add_instance_args(p, with_arcs=True)
     p.set_defaults(func=_cmd_facets)
 
-    p = sub.add_parser("decompose", help="signed decomposition and induced composition")
+    p = add_command("decompose", help="signed decomposition and induced composition")
     p.add_argument("--d", type=int, required=True)
-    _add_instance_args(p)
+    _add_instance_args(p, with_arcs=False)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("chart", help="chart realizing a signed decomposition")
+    p = add_command("chart", help="chart realizing a signed decomposition")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--sizes", required=True)
     p.add_argument("--first-sign", type=int, default=1, dest="first_sign")
     p.add_argument("--t", required=True)
     p.set_defaults(func=_cmd_chart)
 
-    p = sub.add_parser("count", help="facet count by formula")
+    p = add_command("count", help="facet count by formula")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--arcs", required=True)
     p.add_argument("--dividers", type=int, default=None)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("classify", help="named-type flags of a composition")
+    p = add_command("classify", help="named-type flags of a composition")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--arcs", required=True)
     p.add_argument("--dividers", type=int, default=None)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("vertices", help="vertex labels")
+    p = add_command("vertices", help="vertex labels")
     p.add_argument("--d", type=int, required=True)
-    _add_instance_args(p, required=False)
+    _add_instance_args(p, with_arcs=True)
     p.set_defaults(func=_cmd_vertices)
 
-    p = sub.add_parser("chart-order", help="is the chart a d-th power of a linear form")
+    p = add_command("chart-order", help="is the chart a d-th power of a linear form")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--xi", required=True)
     p.set_defaults(func=_cmd_chart_order)
 
-    p = sub.add_parser("enumerate", help="combinatorial type counts per (d, n)")
+    p = add_command("enumerate", help="combinatorial type counts per (d, n)")
     p.add_argument("--d", required=True, help="dimension or range a..b")
     p.add_argument("--n", required=True, help="vertex count or range a..b")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("certify", help="canonical certificate of a facet complex")
+    p = add_command("certify", help="canonical certificate of a facet complex")
     p.add_argument("--file", default="-",
                    help='JSON {"n_labels", "d", "facets"}; "-" reads stdin')
     p.set_defaults(func=_cmd_certify)
@@ -309,9 +270,9 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, argparse.Namespace(format="json", check=False))
     if args.command in ("facets", "vertices"):
-        if (args.t is None) == (getattr(args, "arcs", None) is None):
+        if (args.t is None) == (args.arcs is None):
             _fail("invalid-input", "provide either --t/--xi or --arcs", {})
             return 2
         if args.t is not None and args.xi is None:

@@ -6,16 +6,19 @@ the curve t -> (1,t,...,t^d)/q(t).  The polytope generated by the curve
 points over a finite parameter set T is simplicial, and its facets can
 be read off the signs of either the rational functions lambda_S or the
 determinants of curve-point matrices; both tests live here and share no
-code beyond rational arithmetic.
+code beyond rational arithmetic.  ``cross_check`` runs them beside the
+two line characterizations of ``facets``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 
 from .errors import (
+    CrossCheckError,
     DimensionMismatchError,
     InvalidChartError,
     InvalidDecompositionError,
@@ -24,7 +27,7 @@ from .errors import (
     UnderdeterminedInstanceError,
 )
 from .exact import elementary_symmetric, sign, sign_det
-from .facets import FacetComplex
+from .facets import FacetComplex, enumerate_facets_line, s123_decompose
 
 
 @dataclass(frozen=True)
@@ -179,9 +182,37 @@ def decompose_chart(xi: Chart, t_set: GroundSet) -> SignedDecomposition:
             raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
         signs.append(s)
     sizes = tuple(len(list(g)) for _, g in groupby(signs))
-    # a degree-d polynomial has at most d sign changes
-    assert len(sizes) - 1 <= xi.d
+    if len(sizes) - 1 > xi.d:
+        raise CrossCheckError(
+            f"q changes sign {len(sizes) - 1} times but has degree {xi.d}"
+        )
     return SignedDecomposition(sizes, signs[0], xi.d)
+
+
+def cross_check(xi: Chart, t_set: GroundSet) -> dict:
+    """Compute the facet set four independent ways: the lambda test, the
+    determinant test, sigma-PA complements and the S1/S2/S3 split.
+    Returns the four facet lists; raises CrossCheckError if they differ."""
+    by_lambda = enumerate_facets_geometric(xi, t_set).facets
+    by_det = tuple(
+        idxs for idxs in combinations(range(t_set.n), xi.d)
+        if facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])
+    )
+    dec = decompose_chart(xi, t_set)
+    by_pa = enumerate_facets_line(dec).facets
+    by_s123 = tuple(
+        idxs for idxs in combinations(range(t_set.n), xi.d)
+        if s123_decompose(dec, [i + 1 for i in idxs]) is not None
+    )
+    report = {
+        "lambda": [list(f) for f in by_lambda],
+        "determinant": [list(f) for f in by_det],
+        "sigma_pa": [list(f) for f in by_pa],
+        "s123": [list(f) for f in by_s123],
+    }
+    if not by_lambda == by_det == by_pa == by_s123:
+        raise CrossCheckError(json.dumps(report))
+    return report
 
 
 def chart_from_decomposition(dec: SignedDecomposition, t_set: GroundSet) -> Chart:

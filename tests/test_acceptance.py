@@ -20,18 +20,16 @@ from veronese import (
     certificate,
     chart_from_decomposition,
     count_types,
+    cross_check,
     decompose_chart,
     distinct_types,
     enumerate_facets_circular,
     enumerate_facets_geometric,
-    enumerate_facets_line,
     facet_count,
-    facet_test_determinant,
     induce_composition,
     is_cyclic_type,
     is_power_of_linear_form,
     realize,
-    s123_decompose,
     vertex_set,
     vertices_geometric,
 )
@@ -99,19 +97,9 @@ def test_criterion_2_four_way_equivalence():
             dec = random_decomposition(rng, d, n)
             xi = chart_from_decomposition(dec, t_set)
             assert decompose_chart(xi, t_set) == dec
-
-            by_lambda = set(enumerate_facets_geometric(xi, t_set).facets)
-            by_det = set(
-                idxs for idxs in combinations(range(n), d)
-                if facet_test_determinant(
-                    xi, t_set, [t_set.params[i] for i in idxs])
-            )
-            by_line = set(enumerate_facets_line(dec).facets)
-            by_s123 = set(
-                idxs for idxs in combinations(range(n), d)
-                if s123_decompose(dec, [i + 1 for i in idxs]) is not None
-            )
-            assert by_lambda == by_det == by_line == by_s123
+            report = cross_check(xi, t_set)
+            assert report["lambda"] == report["determinant"] \
+                == report["sigma_pa"] == report["s123"]
 
 
 def test_criterion_3_formula_vs_enumeration():

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from veronese import FacetComplex
 from veronese.cli import main
 
 EXAMPLE = ["facets", "--d", "4", "--t=-3,-2,-1,1,2,3,4", "--xi=0,-1,0,0,0"]
@@ -132,11 +134,10 @@ def test_missing_input_exit_2(capsys):
     assert json.loads(err)["error"] == "invalid-input"
 
 
-def test_determinism_and_jobs_flag(capsys):
+def test_determinism(capsys):
     outs = []
-    for jobs in ("1", "4"):
-        code = main(["enumerate", "--d", "4", "--n", "5..7", "--jobs", jobs,
-                     "--seed", "7"])
+    for _ in range(2):
+        code = main(["enumerate", "--d", "4", "--n", "5..7"])
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
@@ -150,13 +151,40 @@ def test_global_flags_both_sides(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
-def test_cross_check_failure_exit_3(capsys, monkeypatch):
-    import veronese.cli as cli
+def _no_facets(*args):
+    return FacetComplex(1, 1, ())
 
-    def broken(xi, t_set, s_values):
-        return False
 
-    monkeypatch.setattr(cli, "facet_test_determinant", broken)
+@pytest.mark.parametrize("name, broken", [
+    ("enumerate_facets_geometric", _no_facets),
+    ("facet_test_determinant", lambda xi, t_set, s_values: False),
+    ("enumerate_facets_line", _no_facets),
+    ("s123_decompose", lambda dec, positions: None),
+], ids=["lambda", "determinant", "sigma_pa", "s123"])
+def test_cross_check_failure_exit_3(capsys, monkeypatch, name, broken):
+    import veronese.geometry as geometry
+
+    monkeypatch.setattr(geometry, name, broken)
     code, _, err = run(capsys, EXAMPLE + ["--check"])
     assert code == 3
+    assert json.loads(err)["error"] == "cross-check-failure"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--d", "4"],
+    ["decompose", "--d", "4", "--t=1,2,3,4,5"],
+])
+def test_decompose_requires_t_and_xi(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_decompose_sign_change_overflow_exit_3(capsys, monkeypatch):
+    import veronese.geometry as geometry
+
+    monkeypatch.setattr(geometry, "q_eval", lambda xi, t: Fraction(-1) ** t)
+    code, out, err = run(capsys, ["decompose", "--d", "2",
+                                  "--t=1,2,3,4,5", "--xi=1,0,0"])
+    assert code == 3 and out == ""
     assert json.loads(err)["error"] == "cross-check-failure"

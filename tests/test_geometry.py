@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from veronese import (
     Chart,
+    CrossCheckError,
     DimensionMismatchError,
     GroundSet,
     InvalidDecompositionError,
@@ -130,6 +131,15 @@ def test_decompose_chart_examples():
 def test_decompose_chart_vanishing():
     with pytest.raises(InvalidInstanceError):
         decompose_chart(XI_EXAMPLE, GroundSet((-1, 0, 1)))
+
+
+def test_decompose_chart_rejects_too_many_sign_changes(monkeypatch):
+    import veronese.geometry as geometry
+
+    # five alternating signs are four sign changes, more than d = 2 allows
+    monkeypatch.setattr(geometry, "q_eval", lambda xi, t: Fraction(-1) ** t)
+    with pytest.raises(CrossCheckError):
+        decompose_chart(Chart((1, 0, 0)), GroundSet((1, 2, 3, 4, 5)))
 
 
 def test_chart_from_decomposition_examples():
