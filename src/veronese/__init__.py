@@ -37,6 +37,7 @@ from .errors import (
     InputError,
     InvalidChartError,
     InvalidDecompositionError,
+    InvalidIndexError,
     InvalidInstanceError,
     PointAtInfinityError,
     UnderdeterminedInstanceError,

@@ -176,14 +176,19 @@ def _cmd_certify(args):
     if args.file == "-":
         raw = sys.stdin.read()
     else:
-        with open(args.file) as fh:
-            raw = fh.read()
+        try:
+            with open(args.file) as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {args.file}: {exc}") from exc
     try:
         data = json.loads(raw)
         fc = FacetComplex(
             int(data["n_labels"]), int(data["d"]),
             tuple(tuple(f) for f in data["facets"]),
         )
+    except InputError:
+        raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed facet complex: {exc}") from exc
     cert = certificate(fc.restrict_to_vertices())

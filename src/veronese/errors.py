@@ -32,6 +32,12 @@ class InvalidInstanceError(InputError):
     code = "invalid-instance"
 
 
+class InvalidIndexError(InputError, IndexError):
+    """A label or position outside its range, or positions out of order."""
+
+    code = "invalid-index"
+
+
 class InvalidDecompositionError(InputError):
     code = "invalid-decomposition"
 

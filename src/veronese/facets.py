@@ -9,6 +9,21 @@ of the parameter set:
 * a d-subset is a facet iff it splits uniquely into boundary choices,
   extreme endpoints and consecutive pairs (``s123_decompose``).
 
+Both read one table, ``interval[p]``: the 0-based interval of the 1-based
+position p.  Signs alternate between intervals, so two positions a < b
+carry equal signs iff interval[a] and interval[b] have equal parity, and
+they break the alternation rule (equal signs iff equal parities) iff their
+parity keys ``(a + interval[a]) % 2`` and ``(b + interval[b]) % 2`` agree.
+A sequence is sigma-PA iff its keys alternate; the first sign drops out.
+
+The split is found by one left-to-right search over sorted S.  Each
+element is the pick of the next unpicked sign change (one of the two
+points beside it), an endpoint 1 or n, or the first of a pair with the
+next position of its interval.  A branch dies as soon as the scan passes
+both points of the next sign change, so away from positions 1 and n at
+most one role of an element survives its first node; the search visits
+at most 2d+1 nodes (checked on every decomposition with d <= 7, n <= 10).
+
 Positions are 1-based internally (the parity conditions are stated for
 1-based sequences); everything exported through JSON is 0-based.
 """
@@ -20,6 +35,7 @@ from itertools import accumulate
 
 from .errors import (
     DimensionMismatchError,
+    InvalidIndexError,
     UnderdeterminedInstanceError,
 )
 
@@ -40,7 +56,7 @@ class FacetComplex:
                     f"facet {f} does not have {self.d} distinct elements"
                 )
             if f and (f[0] < 0 or f[-1] >= self.n_labels):
-                raise IndexError(f"facet {f} out of label range")
+                raise InvalidIndexError(f"facet {f} out of label range")
         object.__setattr__(self, "facets", canon)
 
     @property
@@ -58,53 +74,35 @@ class FacetComplex:
         )
 
 
-class _Indexing:
-    """Interval bookkeeping for 1-based positions of a decomposition."""
+def _intervals(decomposition) -> list:
+    """interval[p] for p = 1..n; entry 0 is unused."""
+    return [None] + [j for j, size in enumerate(decomposition.sizes) for _ in range(size)]
 
-    def __init__(self, decomposition):
-        self.D = decomposition
-        self.sizes = decomposition.sizes
-        self.n = sum(self.sizes)
-        self.k = len(self.sizes) - 1
-        # ends[j] = last position of interval j (1-based intervals)
-        self.ends = list(accumulate(self.sizes))
-        self.starts = [e - s + 1 for e, s in zip(self.ends, self.sizes)]
 
-    def interval_of(self, pos: int) -> int:
-        for j, end in enumerate(self.ends, start=1):
-            if pos <= end:
-                return j
-        raise IndexError(f"position {pos} out of range 1..{self.n}")
-
-    def sign_at(self, pos: int) -> int:
-        j = self.interval_of(pos)
-        return self.D.first_sign * (-1) ** (j - 1)
+def _parity_keys(decomposition) -> list:
+    interval = _intervals(decomposition)
+    return [None] + [(p + interval[p]) % 2 for p in range(1, len(interval))]
 
 
 def is_sigma_pa(decomposition, positions) -> bool:
     """Test the alternation condition for an increasing 1-based sequence:
     consecutive entries carry equal decomposition signs iff their
     positions have different parities."""
-    idx = _Indexing(decomposition)
+    key = _parity_keys(decomposition)
+    n = len(key) - 1
     seq = list(positions)
-    if any(not 1 <= p <= idx.n for p in seq):
-        raise IndexError(f"positions out of range 1..{idx.n}: {seq}")
+    if any(not 1 <= p <= n for p in seq):
+        raise InvalidIndexError(f"positions out of range 1..{n}: {seq}")
     if any(a >= b for a, b in zip(seq, seq[1:])):
-        raise IndexError(f"positions not strictly increasing: {seq}")
-    for a, b in zip(seq, seq[1:]):
-        same_sign = idx.sign_at(a) == idx.sign_at(b)
-        same_parity = (a - b) % 2 == 0
-        if same_sign == same_parity:
-            return False
-    return True
+        raise InvalidIndexError(f"positions not strictly increasing: {seq}")
+    return all(key[a] != key[b] for a, b in zip(seq, seq[1:]))
 
 
 def enumerate_facets_line(decomposition) -> FacetComplex:
     """All facets of the polytope whose chart induces the decomposition,
     found as complements of alternating sequences of length n-d."""
-    idx = _Indexing(decomposition)
-    d = decomposition.d
-    n = idx.n
+    key = _parity_keys(decomposition)
+    d, n = decomposition.d, len(key) - 1
     if n <= d:
         raise UnderdeterminedInstanceError(
             f"need more than d={d} generating points, got {n}"
@@ -118,15 +116,10 @@ def enumerate_facets_line(decomposition) -> FacetComplex:
             return
         # feasibility: enough positions left to finish the sequence
         for p in range(nxt, n - (target - len(seq)) + 2):
-            if seq:
-                a = seq[-1]
-                same_sign = idx.sign_at(a) == idx.sign_at(p)
-                same_parity = (a - p) % 2 == 0
-                if same_sign == same_parity:
-                    continue
-            seq.append(p)
-            extend(seq, p + 1)
-            seq.pop()
+            if not seq or key[p] != key[seq[-1]]:
+                seq.append(p)
+                extend(seq, p + 1)
+                seq.pop()
 
     extend([], 1)
     full = set(range(1, n + 1))
@@ -143,105 +136,35 @@ class S123:
     s3: tuple  # tuple of (a, a+1) position pairs
 
 
-def _maximal_runs(positions):
-    runs = []
-    for p in positions:
-        if runs and runs[-1][-1] == p - 1:
-            runs[-1].append(p)
-        else:
-            runs.append([p])
-    return runs
-
-
-def _decompose_run(idx: _Indexing, run) -> tuple:
-    """Split one maximal run J of S into (J1 dict, J2 set, J3 set).
-
-    J1 picks, per sign change j touched by the run, one of the two
-    positions flanking the change; J2 may absorb an extreme endpoint of
-    the whole ground set; J3 is the rest, which must pair up later.
-    """
-    jset = set(run)
-    k = idx.k
-    touched = [
-        j for j in range(1, k + 1)
-        if idx.ends[j - 1] in jset or idx.starts[j] in jset
-    ]
-    j1 = {}
-    if 1 in jset:
-        # run starts at the very first point: resolve picks right-to-left
-        nxt = None
-        for j in reversed(touched):
-            upper = jset.intersection(
-                range(idx.starts[j], idx.ends[j] + 1)
-            ).difference({nxt})
-            j1[j] = idx.starts[j] if len(upper) % 2 == 1 else idx.ends[j - 1]
-            nxt = j1[j]
-        j2 = set()
-        used = set(j1.values())
-        first_int = jset.intersection(range(idx.starts[0], idx.ends[0] + 1))
-        if len(first_int.difference(used)) % 2 == 1:
-            j2.add(1)
-    else:
-        prev = None
-        for j in touched:
-            lower = jset.intersection(
-                range(idx.starts[j - 1], idx.ends[j - 1] + 1)
-            ).difference({prev})
-            j1[j] = idx.ends[j - 1] if len(lower) % 2 == 1 else idx.starts[j]
-            prev = j1[j]
-        j2 = set()
-        used = set(j1.values())
-        last_int = jset.intersection(range(idx.starts[k], idx.ends[k] + 1))
-        if idx.n in jset and len(last_int.difference(used)) % 2 == 1:
-            j2.add(idx.n)
-    j3 = jset.difference(j1.values()).difference(j2)
-    return j1, j2, j3
-
-
 def s123_decompose(decomposition, positions):
     """Decompose a candidate facet S (1-based positions) into the three
-    certifying parts, or return None when S is not a facet.
-
-    The construction is per maximal run of S, followed by a validation
-    of the global conditions; validation failure is exactly non-facetness.
-    """
-    idx = _Indexing(decomposition)
-    d = decomposition.d
-    s = sorted(set(positions))
-    if len(s) != d or len(set(positions)) != len(list(positions)):
+    certifying parts, or return None when S is not a facet."""
+    interval = _intervals(decomposition)
+    d, n = decomposition.d, len(interval) - 1
+    positions = list(positions)
+    members = set(positions)
+    s = sorted(members)
+    if len(s) != d or len(s) != len(positions):
         raise DimensionMismatchError(f"expected {d} distinct positions")
-    if any(not 1 <= p <= idx.n for p in s):
-        raise IndexError(f"positions out of range 1..{idx.n}")
-    k = idx.k
+    if s and not 1 <= s[0] <= s[-1] <= n:
+        raise InvalidIndexError(f"positions out of range 1..{n}")
+    # the c-th sign change (0-based) lies between cut[c] and cut[c] + 1
+    cut = list(accumulate(decomposition.sizes))[:-1]
 
-    s1, s2, s3 = {}, set(), set()
-    for run in _maximal_runs(s):
-        j1, j2, j3 = _decompose_run(idx, run)
-        for j, pick in j1.items():
-            if j in s1 or pick not in set(run):
-                return None
-            s1[j] = pick
-        s2 |= j2
-        s3 |= j3
-
-    # one pick per sign change, all distinct
-    if sorted(s1) != list(range(1, k + 1)) or len(set(s1.values())) != k:
-        return None
-    if not s2 <= {1, idx.n} or (d - k - len(s2)) % 2 != 0:
-        return None
-    # the rest must tile into consecutive pairs inside single intervals
-    rest = sorted(s3)
-    if len(rest) != d - k - len(s2):
-        return None
-    pairs = []
-    for a, b in zip(rest[0::2], rest[1::2]):
-        if b != a + 1 or idx.interval_of(a) != idx.interval_of(b):
+    def search(i, s1, s2, s3):
+        c = len(s1)
+        if c < len(cut) and (i == d or s[i] > cut[c] + 1):
             return None
-        pairs.append((a, b))
-    if 2 * len(pairs) != len(rest):
-        return None
-    return S123(
-        tuple(s1[j] for j in sorted(s1)),
-        tuple(sorted(s2)),
-        tuple(pairs),
-    )
+        if i == d:
+            return S123(s1, s2, s3)
+        p = s[i]
+        found = None
+        if c < len(cut) and p >= cut[c]:
+            found = search(i + 1, s1 + (p,), s2, s3)
+        if found is None and p in (1, n):
+            found = search(i + 1, s1, s2 + (p,), s3)
+        if found is None and p + 1 in members and interval[p] == interval[p + 1]:
+            found = search(i + 2, s1, s2, s3 + ((p, p + 1),))
+        return found
+
+    return search(0, (), (), ())

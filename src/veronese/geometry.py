@@ -232,13 +232,10 @@ def chart_from_decomposition(dec: SignedDecomposition, t_set: GroundSet) -> Char
     coeffs = [Fraction(0)] * (dec.d + 1)
     for i in range(k + 1):
         coeffs[k - i] = (-1) ** i * elementary_symmetric(roots, i)
-    q_first = Fraction(0)
-    t1 = t_set.params[0]
-    for c in reversed(coeffs):
-        q_first = q_first * t1 + c
-    if sign(q_first) != dec.first_sign:
-        coeffs = [-c for c in coeffs]
-    return Chart(tuple(coeffs))
+    xi = Chart(tuple(coeffs))
+    if sign(q_eval(xi, t_set.params[0])) != dec.first_sign:
+        xi = Chart(tuple(-c for c in coeffs))
+    return xi
 
 
 def vertices_geometric(xi: Chart, t_set: GroundSet) -> tuple:

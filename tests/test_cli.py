@@ -112,6 +112,31 @@ def test_certify_stdin(capsys, monkeypatch):
     bytes.fromhex(cert)
 
 
+def _one_json_error(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert set(error) == {"error", "message", "context"}
+    return error
+
+
+@pytest.mark.parametrize("label", [7, -1])
+def test_certify_label_out_of_range_exit_2(capsys, monkeypatch, label):
+    import io
+
+    payload = {"n_labels": 4, "d": 3, "facets": [[0, 1, 2], [0, 1, label]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, ["certify"])
+    assert code == 2 and out == ""
+    assert _one_json_error(err)["error"] == "invalid-index"
+
+
+def test_certify_missing_file_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["certify", "--file", str(tmp_path / "absent.json")])
+    assert code == 2 and out == ""
+    assert _one_json_error(err)["error"] == "invalid-input"
+
+
 def test_invalid_input_exit_2(capsys):
     code, out, err = run(capsys, ["facets", "--d", "4",
                                   "--t", "1,1,2,3,4", "--xi", "1,0,0,0,0"])

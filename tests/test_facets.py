@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +122,34 @@ def test_s123_matches_exhaustive_search(d, seed):
         else:
             assert constructed is None
             assert found == []
+
+
+def test_line_characterizations_agree_on_every_small_case():
+    # size-1 intervals at positions 1 and n, where the S1/S2/S3 search
+    # branches, are reached here deterministically
+    subsets = 0
+    for d in range(1, 6):
+        for n in range(d + 1, 9):
+            for k in range(min(d, n - 1) + 1):
+                for cuts, sign in product(combinations(range(1, n), k), (1, -1)):
+                    sizes = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+                    dec = SignedDecomposition(sizes, sign, d)
+                    facets = set(enumerate_facets_line(dec).facets)
+                    for subset in combinations(range(1, n + 1), d):
+                        subsets += 1
+                        complement = sorted(set(range(1, n + 1)) - set(subset))
+                        is_facet = tuple(p - 1 for p in subset) in facets
+                        assert is_sigma_pa(dec, complement) == is_facet
+                        constructed = s123_decompose(dec, subset)
+                        found = exhaustive_s123(dec, subset)
+                        if is_facet:
+                            assert len(found) == 1
+                            assert constructed is not None
+                            assert (constructed.s1, constructed.s2,
+                                    constructed.s3) == found[0]
+                        else:
+                            assert constructed is None and found == []
+    assert subsets == 50684
 
 
 @settings(max_examples=30, deadline=None)
