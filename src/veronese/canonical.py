@@ -4,7 +4,20 @@ A certificate is a relabeling-invariant encoding of a facet complex:
 two complexes get equal certificates exactly when some bijection of
 their labels maps one facet set onto the other.  It is computed by
 iterated partition refinement on the vertex-facet incidence structure,
-with backtracking individualization on the residual symmetric cells.
+with backtracking individualization on the residual symmetric cells;
+the certificate is the minimal encoding over all leaves of the search.
+
+The search is pruned by the automorphisms it finds (the orbit pruning
+of McKay and Piperno, "Practical graph isomorphism, II", 2014).  A leaf
+whose encoding equals the best one so far yields an automorphism: the
+vertex of color k in one leaf maps to the vertex of color k in the
+other.  Refinement commutes with automorphisms, so an automorphism that
+fixes a node's individualized vertices maps the subtree under one child
+onto the subtree under another, with the same set of leaf encodings.
+Each node therefore explores one child per orbit of its target cell
+under the automorphisms found so far that fix its prefix pointwise.
+Only subtrees whose encodings were already seen are skipped, so the
+minimal encoding, and with it every certificate byte, is unchanged.
 """
 
 from __future__ import annotations
@@ -55,9 +68,16 @@ def certificate(fc: FacetComplex) -> bytes:
     fc = fc.restrict_to_vertices()
     n = fc.n_labels
     facets = [tuple(f) for f in fc.facets]
-    best = [None]
+    best = [None, None]  # minimal encoding, and the leaf colors giving it
+    automorphisms = []
 
-    def search(colors):
+    def orbit_root(parent, v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def search(colors, prefix):
         counts = {}
         for color in colors:
             counts[color] = counts.get(color, 0) + 1
@@ -65,16 +85,36 @@ def certificate(fc: FacetComplex) -> bytes:
         if target is None:
             enc = _encode(facets, colors)
             if best[0] is None or enc < best[0]:
-                best[0] = enc
+                best[0], best[1] = enc, colors
+            elif enc == best[0]:
+                # equal encodings: the vertex of color k here maps to the
+                # vertex of color k in the best leaf, an automorphism
+                vertex_of = {c: v for v, c in enumerate(best[1])}
+                automorphisms.append([vertex_of[c] for c in colors])
             return
+        explored, seen = [], 0
+        parent = list(range(n))
         for v in range(n):
             if colors[v] != target:
                 continue
+            if seen < len(automorphisms):
+                # orbits under the automorphisms fixing the prefix pointwise
+                for auto in automorphisms[seen:]:
+                    if all(auto[p] == p for p in prefix):
+                        for u in range(n):
+                            a, b = orbit_root(parent, u), orbit_root(parent, auto[u])
+                            if a != b:
+                                parent[a] = b
+                seen = len(automorphisms)
+            root = orbit_root(parent, v)
+            if any(orbit_root(parent, u) == root for u in explored):
+                continue
+            explored.append(v)
             branched = [(c, 1) if u != v else (c, 0) for u, c in enumerate(colors)]
             order = {s: i for i, s in enumerate(sorted(set(branched)))}
-            search(_refine(facets, [order[s] for s in branched]))
+            search(_refine(facets, [order[s] for s in branched]), prefix + (v,))
 
-    search(_refine(facets, [0] * n))
+    search(_refine(facets, [0] * n), ())
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .canonical import certificate
 from .circular import (
     CircularComposition,
-    canonical_arcs,
     enumerate_facets_circular,
     induce_composition,
     vertex_set,
@@ -26,37 +26,43 @@ def is_cross_polytope(c: CircularComposition) -> bool:
     return c.l == c.d and min(c.arcs) >= 2
 
 
+@lru_cache(maxsize=128)
+def _reference_certificate(kind: str, d: int, nv: int) -> bytes:
+    """Certificate of the reference type on nv vertices: "cyclic" is the
+    cyclic polytope (dividerless for even d, one divider for odd d),
+    "stacked" the stacked family (all but one interval a singleton)."""
+    if kind == "cyclic":
+        reference = CircularComposition(d, (nv,), dividers=0 if d % 2 == 0 else -1)
+    else:
+        sizes = (1,) * (d - 3) + (nv - (d - 3),)
+        reference = induce_composition(SignedDecomposition(sizes, 1, d))
+    return certificate(enumerate_facets_circular(reference))
+
+
+def _stacked_family(c: CircularComposition, mine: bytes) -> bool:
+    if c.d < 3:
+        raise DomainError(f"stacked types need d >= 3, got d={c.d}")
+    return mine == _reference_certificate("stacked", c.d, len(vertex_set(c)))
+
+
+def _cyclic_type(c: CircularComposition, mine: bytes) -> bool:
+    return mine == _reference_certificate("cyclic", c.d, len(vertex_set(c)))
+
+
 def is_stacked_family(c: CircularComposition) -> bool:
     """Membership in the one known stacked family: all but one interval
     a singleton on the line.  Not a general stackedness test.
 
-    Compared by certificate so the answer depends only on the
-    combinatorial type, with the arc pattern as a fast path.
+    Compared by certificate, so the answer depends only on the
+    combinatorial type.
     """
-    if c.d < 3:
-        raise DomainError(f"stacked types need d >= 3, got d={c.d}")
-    d = c.d
-    nv = len(vertex_set(c))
-    sizes = (1,) * (d - 3) + (nv - (d - 3),)
-    reference = induce_composition(SignedDecomposition(sizes, 1, d))
-    if canonical_arcs(c) == canonical_arcs(reference):
-        return True
-    mine = certificate(enumerate_facets_circular(c).restrict_to_vertices())
-    ref = certificate(enumerate_facets_circular(reference).restrict_to_vertices())
-    return mine == ref
+    return _stacked_family(c, certificate(enumerate_facets_circular(c)))
 
 
 def is_cyclic_type(c: CircularComposition) -> bool:
     """Compare certificates with the cyclic polytope on the same number
     of vertices (dividerless for even d, one divider for odd d)."""
-    nv = len(vertex_set(c))
-    if c.d % 2 == 0:
-        reference = CircularComposition(c.d, (nv,), dividers=0)
-    else:
-        reference = CircularComposition(c.d, (nv,))
-    mine = certificate(enumerate_facets_circular(c).restrict_to_vertices())
-    ref = certificate(enumerate_facets_circular(reference))
-    return mine == ref
+    return _cyclic_type(c, certificate(enumerate_facets_circular(c)))
 
 
 def is_k_neighbourly(c: CircularComposition, k: int) -> bool:
@@ -73,12 +79,13 @@ def is_k_neighbourly(c: CircularComposition, k: int) -> bool:
 
 def classify_composition(c: CircularComposition) -> dict:
     fc = enumerate_facets_circular(c)
+    mine = certificate(fc)
     return {
         "vertices": len(vertex_set(c)),
         "facets": len(fc.facets),
         "simplex": is_simplex(c),
         "cross": is_cross_polytope(c),
-        "stacked_family": is_stacked_family(c) if c.d >= 3 else False,
-        "cyclic": is_cyclic_type(c),
+        "stacked_family": _stacked_family(c, mine) if c.d >= 3 else False,
+        "cyclic": _cyclic_type(c, mine),
         "neighbourly": is_k_neighbourly(c, c.d // 2) if c.d >= 2 else True,
     }

@@ -23,7 +23,7 @@ from .circular import (
     vertex_set,
 )
 from .classify import classify_composition
-from .errors import CrossCheckError, InputError
+from .errors import CrossCheckError, InputError, InvalidChartError
 from .exact import is_power_of_linear_form, rat, rat_str
 from .facets import FacetComplex
 from .geometry import (
@@ -40,6 +40,14 @@ from .geometry import (
 
 def _rationals(text):
     return tuple(rat(part) for part in text.split(","))
+
+
+def _params(text):
+    """The --t parameters; a bad one is bad input, not a bad chart."""
+    try:
+        return _rationals(text)
+    except InvalidChartError as exc:
+        raise InputError(f"--t: {exc}") from exc
 
 
 def _ints(text):
@@ -61,7 +69,7 @@ def _int_range(text):
 
 
 def _instance(args):
-    t_set = GroundSet(_rationals(args.t))
+    t_set = GroundSet(_params(args.t))
     xi = Chart(_rationals(args.xi))
     if xi.d != args.d:
         raise InputError(f"chart has {xi.d + 1} entries, expected {args.d + 1}")
@@ -117,7 +125,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_chart(args):
-    t_set = GroundSet(_rationals(args.t))
+    t_set = GroundSet(_params(args.t))
     dec = SignedDecomposition(_ints(args.sizes), args.first_sign, args.d)
     xi = chart_from_decomposition(dec, t_set)
     out = {"xi": [rat_str(x) for x in xi.coords]}
@@ -183,10 +191,10 @@ def _cmd_certify(args):
             raise InputError(f"cannot read {args.file}: {exc}") from exc
     try:
         data = json.loads(raw)
-        fc = FacetComplex(
-            int(data["n_labels"]), int(data["d"]),
-            tuple(tuple(f) for f in data["facets"]),
-        )
+        n_labels, d = data["n_labels"], data["d"]
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (n_labels, d)):
+            raise InputError(f"n_labels and d must be integers, got {n_labels!r} and {d!r}")
+        fc = FacetComplex(n_labels, d, tuple(tuple(f) for f in data["facets"]))
     except InputError:
         raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -206,6 +214,14 @@ def _add_instance_args(p, with_arcs):
         p.add_argument("--dividers", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as one JSON error object, exit 2."""
+
+    def error(self, message):
+        _fail("invalid-input", message, {"usage": self.format_usage().strip()})
+        self.exit(2)
+
+
 def build_parser():
     # the global flags sit on the main parser and on every subparser, so
     # they are accepted on either side of the subcommand; their defaults
@@ -216,7 +232,7 @@ def build_parser():
     common.add_argument("--format", choices=("json", "csv", "pretty"))
     common.add_argument("--check", action="store_true",
                         help="verify the four facet characterizations agree")
-    parser = argparse.ArgumentParser(prog="veronese", parents=[common])
+    parser = _Parser(prog="veronese", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
     add_command = partial(sub.add_parser, parents=[common])
 
@@ -276,6 +292,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv, argparse.Namespace(format="json", check=False))
+    # argparse before Python 3.12 drops the value of "--opt=--", leaving []
+    if [] in vars(args).values():
+        parser.error("an option value cannot be '--'")
     if args.command in ("facets", "vertices"):
         if (args.t is None) == (args.arcs is None):
             _fail("invalid-input", "provide either --t/--xi or --arcs", {})

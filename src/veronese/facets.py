@@ -49,6 +49,10 @@ class FacetComplex:
     facets: tuple
 
     def __post_init__(self):
+        for f in self.facets:
+            for v in f:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InvalidIndexError(f"label {v!r} is not an integer")
         canon = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
         for f in canon:
             if len(f) != self.d or len(set(f)) != self.d:

@@ -107,3 +107,36 @@ def gale_evenness_even(n, d, facet) -> bool:
 
 def all_d_subsets(n, d):
     return combinations(range(n), d)
+
+
+def certificate_unpruned(fc) -> bytes:
+    """The certificate search without automorphism pruning: every
+    individualization leaf is visited and the minimal encoding kept.
+    Factorial on symmetric complexes; the oracle for the pruned search."""
+    from veronese.canonical import _encode, _refine
+
+    fc = fc.restrict_to_vertices()
+    n = fc.n_labels
+    facets = [tuple(f) for f in fc.facets]
+    best = [None]
+
+    def search(colors):
+        counts = {}
+        for color in colors:
+            counts[color] = counts.get(color, 0) + 1
+        target = next((c for c in sorted(counts) if counts[c] > 1), None)
+        if target is None:
+            enc = _encode(facets, colors)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+            return
+        for v in range(n):
+            if colors[v] != target:
+                continue
+            branched = [(c, 1) if u != v else (c, 0) for u, c in enumerate(colors)]
+            order = {s: i for i, s in enumerate(sorted(set(branched)))}
+            search(_refine(facets, [order[s] for s in branched]))
+
+    search(_refine(facets, [0] * n))
+    body = ";".join("-".join(map(str, f)) for f in best[0])
+    return f"{n}:{fc.d}:{body}".encode("ascii")

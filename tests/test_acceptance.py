@@ -121,7 +121,7 @@ TABLE_1 = {
 
 
 def test_criterion_4_type_counts_table():
-    with criterion(4, 1800.0):
+    with criterion(4, 60.0):
         for d, row in TABLE_1.items():
             for n, expected in row.items():
                 assert count_types(d, n) == expected, (d, n)
@@ -132,7 +132,7 @@ def test_criterion_5_type_counts_spot_checks():
         ("5a", "5b", "5c"),
         ((4, 21, 11), (5, 19, 31), (6, 14, 55)),
     ):
-        with criterion(number, 600.0):
+        with criterion(number, 60.0):
             assert count_types(d, n) == expected
 
 

@@ -115,3 +115,14 @@ def test_classify_output_shape():
         "cyclic": False,
         "neighbourly": False,
     }
+
+
+def test_classify_flags_match_the_recognizers():
+    from veronese.canonical import _type_candidates
+
+    for d in range(3, 6):
+        for n in range(d + 1, 10):
+            for c in _type_candidates(d, n):
+                flags = classify_composition(c)
+                assert flags["stacked_family"] == is_stacked_family(c), c
+                assert flags["cyclic"] == is_cyclic_type(c), c

@@ -1,9 +1,12 @@
+import io
 import json
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from veronese import FacetComplex
+from veronese import CircularComposition, FacetComplex, enumerate_facets_circular
 from veronese.cli import main
 
 EXAMPLE = ["facets", "--d", "4", "--t=-3,-2,-1,1,2,3,4", "--xi=0,-1,0,0,0"]
@@ -213,3 +216,67 @@ def test_decompose_sign_change_overflow_exit_3(capsys, monkeypatch):
                                   "--t=1,2,3,4,5", "--xi=1,0,0"])
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "cross-check-failure"
+
+
+def _certify(capsys, monkeypatch, payload):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    return run(capsys, ["certify"])
+
+
+@pytest.mark.parametrize("payload, code", [
+    ({"n_labels": 4, "d": 3, "facets": [[0, 1, 2.5], [0, 1, 3]]}, "invalid-index"),
+    ({"n_labels": 4, "d": 3, "facets": [[0, 1, True], [0, 1, 3]]}, "invalid-index"),
+    ({"n_labels": 4.7, "d": 3, "facets": [[0, 1, 2], [0, 1, 3]]}, "invalid-input"),
+    ({"n_labels": 4, "d": 3.0, "facets": [[0, 1, 2], [0, 1, 3]]}, "invalid-input"),
+    ({"n_labels": 4, "d": True, "facets": [[0, 1, 2], [0, 1, 3]]}, "invalid-input"),
+], ids=["float-label", "bool-label", "float-n-labels", "float-d", "bool-d"])
+def test_certify_non_integer_exit_2(capsys, monkeypatch, payload, code):
+    exit_code, out, err = _certify(capsys, monkeypatch, payload)
+    assert exit_code == 2 and out == ""
+    assert _one_json_error(err)["error"] == code
+
+
+@pytest.mark.parametrize("name, facets", [
+    ("simplex-12", [list(f) for f in combinations(range(12), 11)]),
+    ("cross-polytope-d8", [list(f) for f in enumerate_facets_circular(
+        CircularComposition(8, (2,) * 8)).facets]),
+])
+def test_certify_symmetric_complexes_quickly(capsys, monkeypatch, name, facets):
+    # n! individualization leaves without orbit pruning
+    start = time.perf_counter()
+    code, out, err = _certify(capsys, monkeypatch, {
+        "n_labels": 1 + max(map(max, facets)), "d": len(facets[0]), "facets": facets})
+    assert code == 0 and err == ""
+    bytes.fromhex(json.loads(out)["certificate"])
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["no-such-command"],
+    ["facets", "--d", "x"],
+    ["count", "--arcs", "3,4"],
+    ["--format", "xml", "count", "--d", "4", "--arcs", "3,4"],
+    ["chart-order", "--d=4", "--xi=--"],
+], ids=["unknown-command", "bad-int", "missing-option", "bad-choice", "dash-dash-value"])
+def test_usage_error_is_one_json_object(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_json_error(captured.err)["error"] == "invalid-input"
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: veronese count") and captured.err == ""
+
+
+def test_unparsable_parameter_is_invalid_input(capsys):
+    code, out, err = run(capsys, ["facets", "--d", "2", "--t=1/0,1,2", "--xi=1,0,0"])
+    assert code == 2 and out == ""
+    error = _one_json_error(err)
+    assert error["error"] == "invalid-input" and "--t" in error["message"]

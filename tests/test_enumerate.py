@@ -18,7 +18,9 @@ from veronese import (
     table_report,
 )
 
-from helpers import brute_force_isomorphic, random_composition
+from veronese.canonical import _type_candidates
+
+from helpers import brute_force_isomorphic, certificate_unpruned, random_composition
 
 
 def _relabel(fc: FacetComplex, perm):
@@ -36,6 +38,22 @@ def test_certificate_relabeling_invariance():
         perm = list(range(fc.n_labels))
         rng.shuffle(perm)
         assert certificate(fc) == certificate(_relabel(fc, perm))
+
+
+def test_certificate_matches_unpruned_search():
+    # the orbit-pruned search keeps the minimal encoding of the full one
+    rng = random.Random(4)
+    checked = 0
+    for d in range(1, 7):
+        for n in range(d + 1, 11):
+            for c in _type_candidates(d, n):
+                fc = enumerate_facets_circular(c)
+                expected = certificate_unpruned(fc)
+                perm = rng.sample(range(fc.n_labels), fc.n_labels)
+                assert certificate(fc) == expected, c
+                assert certificate(_relabel(fc, perm)) == expected, c
+                checked += 1
+    assert checked == 160
 
 
 def test_certificate_empty_complex():

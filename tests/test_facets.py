@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from veronese import (
     DimensionMismatchError,
     FacetComplex,
+    InvalidIndexError,
     SignedDecomposition,
     UnderdeterminedInstanceError,
     enumerate_facets_line,
@@ -37,6 +38,12 @@ def test_facet_complex_validation():
         FacetComplex(4, 3, ((0, 1),))
     with pytest.raises(IndexError):
         FacetComplex(3, 2, ((0, 5),))
+
+
+@pytest.mark.parametrize("label", [2.5, 2.0, True, "2", None])
+def test_facet_complex_rejects_non_integer_labels(label):
+    with pytest.raises(InvalidIndexError):
+        FacetComplex(4, 3, ((0, 1, label), (0, 1, 3)))
 
 
 def test_is_sigma_pa_examples():
