@@ -180,7 +180,7 @@ def count_types(d: int, n_vertices: int) -> int:
 
 def table_report(d_values, n_values):
     """Rows of (d, n, count, types) with per-type classification flags."""
-    from .classify import classify_composition
+    from .classify import _classify
 
     rows = []
     for d in d_values:
@@ -192,7 +192,7 @@ def table_report(d_values, n_values):
                     "arcs": list(c.arcs),
                     "dividers": c.dividers,
                     "certificate": cert.hex(),
-                    "flags": classify_composition(c),
+                    "flags": _classify(c, enumerate_facets_circular(c), cert),
                 }
                 for cert, c in distinct_types(d, n)
             ]

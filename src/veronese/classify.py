@@ -13,6 +13,7 @@ from .circular import (
     vertex_set,
 )
 from .errors import DomainError
+from .facets import FacetComplex
 from .geometry import SignedDecomposition
 
 
@@ -39,16 +40,6 @@ def _reference_certificate(kind: str, d: int, nv: int) -> bytes:
     return certificate(enumerate_facets_circular(reference))
 
 
-def _stacked_family(c: CircularComposition, mine: bytes) -> bool:
-    if c.d < 3:
-        raise DomainError(f"stacked types need d >= 3, got d={c.d}")
-    return mine == _reference_certificate("stacked", c.d, len(vertex_set(c)))
-
-
-def _cyclic_type(c: CircularComposition, mine: bytes) -> bool:
-    return mine == _reference_certificate("cyclic", c.d, len(vertex_set(c)))
-
-
 def is_stacked_family(c: CircularComposition) -> bool:
     """Membership in the one known stacked family: all but one interval
     a singleton on the line.  Not a general stackedness test.
@@ -56,36 +47,46 @@ def is_stacked_family(c: CircularComposition) -> bool:
     Compared by certificate, so the answer depends only on the
     combinatorial type.
     """
-    return _stacked_family(c, certificate(enumerate_facets_circular(c)))
+    if c.d < 3:
+        raise DomainError(f"stacked types need d >= 3, got d={c.d}")
+    return certificate(enumerate_facets_circular(c)) == \
+        _reference_certificate("stacked", c.d, len(vertex_set(c)))
 
 
 def is_cyclic_type(c: CircularComposition) -> bool:
     """Compare certificates with the cyclic polytope on the same number
     of vertices (dividerless for even d, one divider for odd d)."""
-    return _cyclic_type(c, certificate(enumerate_facets_circular(c)))
+    return certificate(enumerate_facets_circular(c)) == \
+        _reference_certificate("cyclic", c.d, len(vertex_set(c)))
+
+
+def _neighbourly(fc: FacetComplex, verts, k: int) -> bool:
+    facets = [set(f) for f in fc.facets]
+    return all(any(set(sub) <= f for f in facets) for sub in combinations(verts, k))
 
 
 def is_k_neighbourly(c: CircularComposition, k: int) -> bool:
     """Every k-subset of vertices lies in some facet."""
     if not 1 <= k <= c.d // 2:
         raise DomainError(f"k must be in 1..{c.d // 2}, got {k}")
-    facets = [set(f) for f in enumerate_facets_circular(c).facets]
+    return _neighbourly(enumerate_facets_circular(c), vertex_set(c), k)
+
+
+def _classify(c: CircularComposition, fc: FacetComplex, mine: bytes) -> dict:
+    """The flags of c, given its facet complex and its certificate."""
     verts = vertex_set(c)
-    return all(
-        any(set(sub) <= f for f in facets)
-        for sub in combinations(verts, k)
-    )
+    nv = len(verts)
+    return {
+        "vertices": nv,
+        "facets": len(fc.facets),
+        "simplex": nv == c.d + 1,
+        "cross": is_cross_polytope(c),
+        "stacked_family": c.d >= 3 and mine == _reference_certificate("stacked", c.d, nv),
+        "cyclic": mine == _reference_certificate("cyclic", c.d, nv),
+        "neighbourly": c.d < 2 or _neighbourly(fc, verts, c.d // 2),
+    }
 
 
 def classify_composition(c: CircularComposition) -> dict:
     fc = enumerate_facets_circular(c)
-    mine = certificate(fc)
-    return {
-        "vertices": len(vertex_set(c)),
-        "facets": len(fc.facets),
-        "simplex": is_simplex(c),
-        "cross": is_cross_polytope(c),
-        "stacked_family": _stacked_family(c, mine) if c.d >= 3 else False,
-        "cyclic": _cyclic_type(c, mine),
-        "neighbourly": is_k_neighbourly(c, c.d // 2) if c.d >= 2 else True,
-    }
+    return _classify(c, fc, certificate(fc))

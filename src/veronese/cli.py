@@ -4,14 +4,20 @@ Every subcommand reads inline arguments (rationals accept ``p/q`` or
 integers), writes machine-readable output to stdout and structured
 errors to stderr.  Exit codes: 0 success, 2 invalid input, 3 internal
 cross-check failure.
+
+The global ``--check`` acts on four commands: ``facets``, ``vertices``
+and ``decompose`` compare the four facet characterizations on the
+instance (on ``realize(c)`` for a composition), and ``count`` compares
+the formula with enumeration.  The other commands accept and ignore it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from functools import partial
+from pathlib import Path
 
 from .canonical import certificate, table_report
 from .circular import (
@@ -68,49 +74,52 @@ def _int_range(text):
     return list(_ints(text))
 
 
-def _instance(args):
-    t_set = GroundSet(_params(args.t))
+def _source(args):
+    """The command's input: the instance (t_set, xi) of --t/--xi, or the
+    composition of --arcs/--dividers.  Exactly one of the two is given."""
+    t, arcs = getattr(args, "t", None), getattr(args, "arcs", None)
+    if (t is None) == (arcs is None):
+        raise InputError("provide either --t/--xi or --arcs")
+    if arcs is not None:
+        return CircularComposition(args.d, _ints(arcs), dividers=args.dividers)
+    if args.xi is None:
+        raise InputError("--t requires --xi")
+    t_set = GroundSet(_params(t))
     xi = Chart(_rationals(args.xi))
     if xi.d != args.d:
         raise InputError(f"chart has {xi.d + 1} entries, expected {args.d + 1}")
     return t_set, xi
 
 
-def _composition(args):
-    dividers = args.dividers if args.dividers is not None else -1
-    return CircularComposition(args.d, _ints(args.arcs), dividers=dividers)
-
-
-def _emit(payload, fmt, csv_rows=None):
-    if fmt == "csv" and csv_rows is not None:
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
-    elif fmt == "pretty":
-        print(json.dumps(payload, indent=2))
+def _on_source(args, on_composition, on_instance):
+    """on_composition(c) or on_instance(xi, t_set) of the command's input,
+    and with --check the report of cross_check on the instance, or on
+    realize(c), else None."""
+    source = _source(args)
+    if isinstance(source, CircularComposition):
+        result = on_composition(source)
+        t_set, xi = realize(source) if args.check else (None, None)
     else:
-        print(json.dumps(payload))
+        t_set, xi = source
+        result = on_instance(xi, t_set)
+    return result, cross_check(xi, t_set) if args.check else None
 
 
 def _cmd_facets(args):
-    if args.t is not None:
-        t_set, xi = _instance(args)
-        fc = enumerate_facets_geometric(xi, t_set)
-        out = {"facets": [list(f) for f in fc.facets]}
-        if args.check:
-            out["check"] = cross_check(xi, t_set)
-    else:
-        c = _composition(args)
-        fc = enumerate_facets_circular(c)
-        out = {"facets": [list(f) for f in fc.facets]}
-        if args.check:
-            t_set, xi = realize(c)
-            out["check"] = cross_check(xi, t_set)
-    _emit(out, args.format, csv_rows=out["facets"])
+    fc, report = _on_source(args, enumerate_facets_circular, enumerate_facets_geometric)
+    out = {"facets": [list(f) for f in fc.facets]}
+    if report is not None:
+        out["check"] = report
+    return [out], out["facets"]
+
+
+def _cmd_vertices(args):
+    verts, _ = _on_source(args, vertex_set, vertices_geometric)
+    return [{"vertices": list(verts)}], [verts]
 
 
 def _cmd_decompose(args):
-    t_set, xi = _instance(args)
-    dec = decompose_chart(xi, t_set)
+    dec, _ = _on_source(args, None, decompose_chart)  # decompose has no --arcs
     comp = induce_composition(dec)
     out = {
         "sizes": list(dec.sizes),
@@ -119,9 +128,7 @@ def _cmd_decompose(args):
         "arcs": list(comp.arcs),
         "dividers": comp.dividers,
     }
-    if args.check:
-        cross_check(xi, t_set)
-    _emit(out, args.format, csv_rows=[dec.sizes])
+    return [out], [dec.sizes]
 
 
 def _cmd_chart(args):
@@ -129,66 +136,39 @@ def _cmd_chart(args):
     dec = SignedDecomposition(_ints(args.sizes), args.first_sign, args.d)
     xi = chart_from_decomposition(dec, t_set)
     out = {"xi": [rat_str(x) for x in xi.coords]}
-    _emit(out, args.format, csv_rows=[out["xi"]])
+    return [out], [out["xi"]]
 
 
 def _cmd_count(args):
-    c = _composition(args)
+    c = _source(args)
     out = {"count": facet_count(c)}
-    if args.verify:
+    if args.check:
         out["enumerated"] = len(enumerate_facets_circular(c).facets)
         if out["enumerated"] != out["count"]:
             raise CrossCheckError(json.dumps(out))
-    _emit(out, args.format, csv_rows=[[out["count"]]])
+    return [out], [[out["count"]]]
 
 
 def _cmd_classify(args):
-    c = _composition(args)
-    out = classify_composition(c)
-    _emit(out, args.format, csv_rows=[list(out.values())])
-
-
-def _cmd_vertices(args):
-    if args.t is not None:
-        t_set, xi = _instance(args)
-        verts = vertices_geometric(xi, t_set)
-        if args.check:
-            cross_check(xi, t_set)
-    else:
-        verts = vertex_set(_composition(args))
-    out = {"vertices": list(verts)}
-    _emit(out, args.format, csv_rows=[verts])
+    out = classify_composition(_source(args))
+    return [out], [list(out.values())]
 
 
 def _cmd_chart_order(args):
-    xi = _rationals(args.xi)
-    out = {"on_curve": is_power_of_linear_form(xi, args.d)}
-    _emit(out, args.format, csv_rows=[[out["on_curve"]]])
+    out = {"on_curve": is_power_of_linear_form(_rationals(args.xi), args.d)}
+    return [out], [[out["on_curve"]]]
 
 
 def _cmd_enumerate(args):
     rows = table_report(_int_range(args.d), _int_range(args.n))
-    if args.format == "csv":
-        print("d,n,count")
-        for row in rows:
-            print(f"{row['d']},{row['n']},{row['count']}")
-    elif args.format == "pretty":
-        for row in rows:
-            print(json.dumps(row, indent=2))
-    else:
-        for row in rows:
-            print(json.dumps(row))
+    return rows, [("d", "n", "count")] + [(r["d"], r["n"], r["count"]) for r in rows]
 
 
 def _cmd_certify(args):
-    if args.file == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(args.file) as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.file}: {exc}") from exc
+    try:
+        raw = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {args.file}: {exc}") from exc
     try:
         data = json.loads(raw)
         n_labels, d = data["n_labels"], data["d"]
@@ -197,21 +177,20 @@ def _cmd_certify(args):
         fc = FacetComplex(n_labels, d, tuple(tuple(f) for f in data["facets"]))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed facet complex: {exc}") from exc
-    cert = certificate(fc.restrict_to_vertices())
-    out = {"certificate": cert.hex()}
-    _emit(out, args.format, csv_rows=[[out["certificate"]]])
+    out = {"certificate": certificate(fc).hex()}
+    return [out], [[out["certificate"]]]
 
 
-def _add_instance_args(p, with_arcs):
-    p.add_argument("--t", required=not with_arcs,
-                   help="comma-separated parameters, e.g. -3,-2,-1,1/2")
-    p.add_argument("--xi", required=not with_arcs,
-                   help="comma-separated chart coefficients")
-    if with_arcs:
-        p.add_argument("--arcs", help="comma-separated arc sizes")
-        p.add_argument("--dividers", type=int, default=None)
+def _emit(payloads, csv_rows, fmt):
+    """Print the CSV rows, or each payload as one JSON document."""
+    if fmt == "csv":
+        for row in csv_rows:
+            print(",".join(str(x) for x in row))
+    else:
+        for payload in payloads:
+            print(json.dumps(payload, indent=2 if fmt == "pretty" else None))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,6 +199,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         _fail("invalid-input", message, {"usage": self.format_usage().strip()})
         self.exit(2)
+
+
+def _with(parser, *arguments):
+    """Add (flag, keywords) options to parser; returns the parser."""
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def _required(argument):
+    flag, keywords = argument
+    return flag, dict(keywords, required=True)
 
 
 def build_parser():
@@ -231,61 +222,48 @@ def build_parser():
                                      argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "csv", "pretty"))
     common.add_argument("--check", action="store_true",
-                        help="verify the four facet characterizations agree")
+                        help="cross-check: facets, vertices and decompose compare "
+                             "the four facet characterizations, count compares the "
+                             "formula with enumeration; other commands ignore it")
     parser = _Parser(prog="veronese", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
-    add_command = partial(sub.add_parser, parents=[common])
 
-    p = add_command("facets", help="enumerate facets of an instance or composition")
-    p.add_argument("--d", type=int, required=True)
-    _add_instance_args(p, with_arcs=True)
-    p.set_defaults(func=_cmd_facets)
+    def parent(*arguments):
+        return _with(argparse.ArgumentParser(add_help=False), *arguments)
 
-    p = add_command("decompose", help="signed decomposition and induced composition")
-    p.add_argument("--d", type=int, required=True)
-    _add_instance_args(p, with_arcs=False)
-    p.set_defaults(func=_cmd_decompose)
+    def add_command(name, help_text, func, parents, *arguments):
+        p = sub.add_parser(name, help=help_text, parents=[common, *parents])
+        _with(p, *arguments).set_defaults(func=func)
 
-    p = add_command("chart", help="chart realizing a signed decomposition")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--first-sign", type=int, default=1, dest="first_sign")
-    p.add_argument("--t", required=True)
-    p.set_defaults(func=_cmd_chart)
+    # the input options, each declared once; _required marks a command's copy
+    t = ("--t", dict(help="comma-separated parameters, e.g. -3,-2,-1,1/2"))
+    xi = ("--xi", dict(help="comma-separated chart coefficients"))
+    arcs = ("--arcs", dict(help="comma-separated arc sizes"))
+    dividers = ("--dividers", dict(type=int, default=-1))
+    dimension = parent(("--d", dict(type=int, required=True)))
+    either_source = parent(t, xi, arcs, dividers)
+    composition = parent(_required(arcs), dividers)
 
-    p = add_command("count", help="facet count by formula")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--arcs", required=True)
-    p.add_argument("--dividers", type=int, default=None)
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=_cmd_count)
-
-    p = add_command("classify", help="named-type flags of a composition")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--arcs", required=True)
-    p.add_argument("--dividers", type=int, default=None)
-    p.set_defaults(func=_cmd_classify)
-
-    p = add_command("vertices", help="vertex labels")
-    p.add_argument("--d", type=int, required=True)
-    _add_instance_args(p, with_arcs=True)
-    p.set_defaults(func=_cmd_vertices)
-
-    p = add_command("chart-order", help="is the chart a d-th power of a linear form")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--xi", required=True)
-    p.set_defaults(func=_cmd_chart_order)
-
-    p = add_command("enumerate", help="combinatorial type counts per (d, n)")
-    p.add_argument("--d", required=True, help="dimension or range a..b")
-    p.add_argument("--n", required=True, help="vertex count or range a..b")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = add_command("certify", help="canonical certificate of a facet complex")
-    p.add_argument("--file", default="-",
-                   help='JSON {"n_labels", "d", "facets"}; "-" reads stdin')
-    p.set_defaults(func=_cmd_certify)
-
+    add_command("facets", "enumerate facets of an instance or composition",
+                _cmd_facets, [dimension, either_source])
+    add_command("decompose", "signed decomposition and induced composition",
+                _cmd_decompose, [dimension], _required(t), _required(xi))
+    add_command("chart", "chart realizing a signed decomposition", _cmd_chart, [dimension],
+                ("--sizes", dict(required=True)),
+                ("--first-sign", dict(type=int, default=1)),
+                _required(t))
+    add_command("count", "facet count by formula", _cmd_count, [dimension, composition])
+    add_command("classify", "named-type flags of a composition", _cmd_classify,
+                [dimension, composition])
+    add_command("vertices", "vertex labels", _cmd_vertices, [dimension, either_source])
+    add_command("chart-order", "is the chart a d-th power of a linear form",
+                _cmd_chart_order, [dimension], _required(xi))
+    add_command("enumerate", "combinatorial type counts per (d, n)", _cmd_enumerate, [],
+                ("--d", dict(required=True, help="dimension or range a..b")),
+                ("--n", dict(required=True, help="vertex count or range a..b")))
+    add_command("certify", "canonical certificate of a facet complex", _cmd_certify, [],
+                ("--file", dict(default="-",
+                                help='JSON {"n_labels", "d", "facets"}; "-" reads stdin')))
     return parser
 
 
@@ -295,21 +273,18 @@ def main(argv=None) -> int:
     # argparse before Python 3.12 drops the value of "--opt=--", leaving []
     if [] in vars(args).values():
         parser.error("an option value cannot be '--'")
-    if args.command in ("facets", "vertices"):
-        if (args.t is None) == (args.arcs is None):
-            _fail("invalid-input", "provide either --t/--xi or --arcs", {})
-            return 2
-        if args.t is not None and args.xi is None:
-            _fail("invalid-input", "--t requires --xi", {})
-            return 2
     try:
-        args.func(args)
-    except InputError as exc:
+        payloads, csv_rows = args.func(args)
+    except (InputError, CrossCheckError) as exc:
         _fail(exc.code, str(exc), {"command": args.command})
-        return 2
-    except CrossCheckError as exc:
-        _fail("cross-check-failure", str(exc), {"command": args.command})
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
+    try:
+        _emit(payloads, csv_rows, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say, ``| head``) and wants no more;
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -58,3 +58,5 @@ class DomainError(InputError):
 
 class CrossCheckError(RuntimeError):
     """Two supposedly equivalent computations disagreed."""
+
+    code = "cross-check-failure"

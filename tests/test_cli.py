@@ -1,14 +1,19 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from veronese import CircularComposition, FacetComplex, enumerate_facets_circular
 from veronese.cli import main
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 EXAMPLE = ["facets", "--d", "4", "--t=-3,-2,-1,1,2,3,4", "--xi=0,-1,0,0,0"]
 
 
@@ -42,8 +47,8 @@ def test_facets_composition(capsys):
     assert len(json.loads(out)["facets"]) == 12
 
 
-def test_count_verify(capsys):
-    code, out, _ = run(capsys, ["count", "--d", "4", "--arcs", "3,4", "--verify"])
+def test_count_check(capsys):
+    code, out, _ = run(capsys, ["count", "--d", "4", "--arcs", "3,4", "--check"])
     assert code == 0
     assert json.loads(out) == {"count": 12, "enumerated": 12}
 
@@ -140,6 +145,14 @@ def test_certify_missing_file_exit_2(capsys, tmp_path):
     assert _one_json_error(err)["error"] == "invalid-input"
 
 
+def test_certify_undecodable_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run(capsys, ["certify", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert _one_json_error(err)["error"] == "invalid-input"
+
+
 def test_invalid_input_exit_2(capsys):
     code, out, err = run(capsys, ["facets", "--d", "4",
                                   "--t", "1,1,2,3,4", "--xi", "1,0,0,0,0"])
@@ -183,19 +196,22 @@ def _no_facets(*args):
     return FacetComplex(1, 1, ())
 
 
-@pytest.mark.parametrize("name, broken", [
-    ("enumerate_facets_geometric", _no_facets),
-    ("facet_test_determinant", lambda xi, t_set, s_values: False),
-    ("enumerate_facets_line", _no_facets),
-    ("s123_decompose", lambda dec, positions: None),
-], ids=["lambda", "determinant", "sigma_pa", "s123"])
-def test_cross_check_failure_exit_3(capsys, monkeypatch, name, broken):
-    import veronese.geometry as geometry
-
-    monkeypatch.setattr(geometry, name, broken)
-    code, _, err = run(capsys, EXAMPLE + ["--check"])
-    assert code == 3
-    assert json.loads(err)["error"] == "cross-check-failure"
+@pytest.mark.parametrize("argv, target, broken", [
+    (EXAMPLE, "veronese.geometry.enumerate_facets_geometric", _no_facets),
+    (EXAMPLE, "veronese.geometry.facet_test_determinant",
+     lambda xi, t_set, s_values: False),
+    (EXAMPLE, "veronese.geometry.enumerate_facets_line", _no_facets),
+    (EXAMPLE, "veronese.geometry.s123_decompose", lambda dec, positions: None),
+    # the composition is cross-checked on realize(c)
+    (["vertices", "--d", "4", "--arcs", "3,4"], "veronese.geometry.s123_decompose",
+     lambda dec, positions: None),
+    (["count", "--d", "4", "--arcs", "3,4"], "veronese.cli.facet_count", lambda c: 11),
+], ids=["lambda", "determinant", "sigma_pa", "s123", "vertices-arcs", "count"])
+def test_cross_check_failure_exit_3(capsys, monkeypatch, argv, target, broken):
+    monkeypatch.setattr(target, broken)
+    code, out, err = run(capsys, argv + ["--check"])
+    assert code == 3 and out == ""
+    assert _one_json_error(err)["error"] == "cross-check-failure"
 
 
 @pytest.mark.parametrize("argv", [
@@ -280,3 +296,18 @@ def test_unparsable_parameter_is_invalid_input(capsys):
     assert code == 2 and out == ""
     error = _one_json_error(err)
     assert error["error"] == "invalid-input" and "--t" in error["message"]
+
+
+@pytest.mark.parametrize("argv, read", [
+    # about 200 kB, more than a pipe buffer holds
+    (["facets", "--d", "6", "--arcs", "40", "--dividers", "0"], 10),
+    (["count", "--d", "4", "--arcs", "3,4"], 0),
+], ids=["while-writing", "at-exit"])
+def test_closed_stdout_exits_0_quietly(argv, read):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-m", "veronese.cli"] + argv, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.read(read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0 and err == b""

@@ -51,7 +51,7 @@ OPTIONS = {
     "enumerate": {"--d": _range(-1, 6), "--n": _range(0, 10)},
     "certify": {"--file": st.sampled_from(["-", "no-such-file.json"])},
 }
-FLAGS = {"count": ["--verify"]}
+FLAGS = {"count": ["--check"]}
 GLOBAL = ["--check", "--format=json", "--format=csv", "--format=pretty",
           "--format=xml", "-h", "--unknown"]
 
@@ -105,11 +105,8 @@ def well_formed(draw):
         stdin = json.dumps({"n_labels": n, "d": d,
                             "facets": [[perm[v] for v in f] for f in fc.facets]})
         argv = [command]
-    flags = draw(st.lists(st.sampled_from(["--check", "--format=csv",
-                                           "--format=pretty", "--verify"]),
+    flags = draw(st.lists(st.sampled_from(["--check", "--format=csv", "--format=pretty"]),
                           max_size=2, unique=True))
-    if command != "count" and "--verify" in flags:
-        flags.remove("--verify")
     return argv + flags, stdin
 
 
