@@ -63,6 +63,17 @@ def _ints(text):
         raise InputError(f"expected comma-separated integers: {text!r}") from exc
 
 
+def _dimension(text):
+    """A --d value: an integer, at least 1."""
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"the dimension must be at least 1, got {d}")
+    return d
+
+
 def _int_range(text):
     """Parse "a..b" (inclusive) or a comma-separated list."""
     if ".." in text:
@@ -160,7 +171,10 @@ def _cmd_chart_order(args):
 
 
 def _cmd_enumerate(args):
-    rows = table_report(_int_range(args.d), _int_range(args.n))
+    dims = _int_range(args.d)
+    if min(dims, default=1) < 1:
+        raise InputError(f"--d: the dimension must be at least 1, got {min(dims)}")
+    rows = table_report(dims, _int_range(args.n))
     return rows, [("d", "n", "count")] + [(r["d"], r["n"], r["count"]) for r in rows]
 
 
@@ -240,7 +254,7 @@ def build_parser():
     xi = ("--xi", dict(help="comma-separated chart coefficients"))
     arcs = ("--arcs", dict(help="comma-separated arc sizes"))
     dividers = ("--dividers", dict(type=int, default=-1))
-    dimension = parent(("--d", dict(type=int, required=True)))
+    dimension = parent(("--d", dict(type=_dimension, required=True)))
     either_source = parent(t, xi, arcs, dividers)
     composition = parent(_required(arcs), dividers)
 

@@ -51,9 +51,13 @@ def sign(value) -> int:
 
 def _integer_rows(rows):
     """Clear denominators row by row; the multipliers are positive, so
-    the determinant sign is unchanged."""
+    the determinant sign is unchanged.  Rows of ints are copied as they
+    are (a bool is not taken for an int)."""
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         fracs = [Fraction(x) for x in row]
         mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
         out.append([int(f * mult) for f in fracs])
@@ -82,11 +86,13 @@ def sign_det(rows) -> int:
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
+        # columns left of k are never read again, so they are not cleared
+        pivot_row, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            head = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                row[j] = (row[j] * pivot - head * pivot_row[j]) // prev
+        prev = pivot
     return flip * sign(m[n - 1][n - 1])
 
 

@@ -8,6 +8,21 @@ be read off the signs of either the rational functions lambda_S or the
 determinants of curve-point matrices; both tests live here and share no
 code beyond rational arithmetic.  ``cross_check`` runs them beside the
 two line characterizations of ``facets``.
+
+Each call evaluates its instance once.  The lambda test takes sign q(t)
+once per parameter t of T; for t outside S the definition
+lambda_S(t) = prod_{s in S}(t - s) / q(t) gives
+
+    sign lambda_S(t) = sign q(t) * (-1)^#{s in S : s > t},
+
+so a subset costs only comparisons.  The determinant test builds each
+curve point once per call as an integer row: for t = a/b it takes
+sign(Q) * (b^d, a b^(d-1), ..., a^d) with Q = b^d L q(t) and L the lcm of
+the chart's denominators.  That row is |Q|/L times (1,t,...,t^d)/q(t), a
+positive multiple, so no determinant changes sign.  The determinant test
+stays independent of the lambda test: it computes q through its own
+integer rows, never through the sign table, and still decides each
+subset by one determinant per remaining point, with no closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +31,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import lcm
 
 from .errors import (
     CrossCheckError,
@@ -124,10 +140,26 @@ def lambda_eval(xi: Chart, s_values, t) -> Fraction:
     return p / q
 
 
-def _check_instance(xi: Chart, t_set: GroundSet):
+def _q_signs(xi: Chart, t_set: GroundSet) -> list:
+    """sign q(t) at each parameter of T, which q must not vanish on."""
+    signs = []
     for t in t_set.params:
-        if q_eval(xi, t) == 0:
+        s = sign(q_eval(xi, t))
+        if s == 0:
             raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
+        signs.append(s)
+    return signs
+
+
+def _one_lambda_sign(q_signs, keys, s) -> bool:
+    """Whether sign lambda_S(t) = sign q(t) * (-1)^#{v in S : v > t} is
+    one sign on T minus S.  keys stand for T's parameters in their order
+    (the parameters or their indices), and s holds S in the same terms."""
+    signs = {
+        q if sum(v > t for v in s) % 2 == 0 else -q
+        for t, q in zip(keys, q_signs) if t not in s
+    }
+    return len(signs) == 1
 
 
 def facet_test_lambda(xi: Chart, t_set: GroundSet, s_values) -> bool:
@@ -135,26 +167,37 @@ def facet_test_lambda(xi: Chart, t_set: GroundSet, s_values) -> bool:
     s = set(Fraction(v) for v in s_values)
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
-    _check_instance(xi, t_set)
-    signs = set(
-        sign(lambda_eval(xi, s, t)) for t in t_set.params if t not in s
-    )
-    return len(signs) == 1 and 0 not in signs
+    return _one_lambda_sign(_q_signs(xi, t_set), t_set.params, s)
+
+
+def _curve_rows(xi: Chart, t_set: GroundSet) -> dict:
+    """Parameter -> its curve point as the integer row sign(Q) * (b^d,
+    a b^(d-1), ..., a^d) of t = a/b, Q = b^d L q(t): a positive multiple
+    of (1,t,...,t^d)/q(t) (see the module docstring)."""
+    d = xi.d
+    scale = lcm(*(c.denominator for c in xi.coords))
+    coeffs = [c.numerator * (scale // c.denominator) for c in xi.coords]
+    rows = {}
+    for t in t_set.params:
+        a, b = t.numerator, t.denominator
+        row = [a ** i * b ** (d - i) for i in range(d + 1)]
+        q = sum(c * x for c, x in zip(coeffs, row))
+        if q == 0:
+            raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
+        rows[t] = row if q > 0 else [-x for x in row]
+    return rows
 
 
 def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
     """Independent oracle: the hyperplane through the curve points of S
     keeps all remaining generating points strictly on one side."""
-    s = sorted(set(Fraction(v) for v in s_values))
+    s = set(Fraction(v) for v in s_values)
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
-    _check_instance(xi, t_set)
-    base = [list(curve_point(xi, v)) for v in s]
-    signs = set()
-    for t in t_set.params:
-        if t in s:
-            continue
-        signs.add(sign_det(base + [list(curve_point(xi, t))]))
+    rows = _curve_rows(xi, t_set)
+    # S's rows leave the table, so the rows left are T minus S
+    base = [rows.pop(v) if v in rows else list(curve_point(xi, v)) for v in sorted(s)]
+    signs = {sign_det(base + [row]) for row in rows.values()}
     return len(signs) == 1 and 0 not in signs
 
 
@@ -164,23 +207,18 @@ def enumerate_facets_geometric(xi: Chart, t_set: GroundSet) -> FacetComplex:
         raise UnderdeterminedInstanceError(
             f"need more than d={d} generating points, got {t_set.n}"
         )
-    _check_instance(xi, t_set)
+    q_signs = _q_signs(xi, t_set)
+    keys = range(t_set.n)
     facets = [
-        idxs
-        for idxs in combinations(range(t_set.n), d)
-        if facet_test_lambda(xi, t_set, [t_set.params[i] for i in idxs])
+        idxs for idxs in combinations(keys, d)
+        if _one_lambda_sign(q_signs, keys, idxs)
     ]
     return FacetComplex(t_set.n, d, tuple(facets))
 
 
 def decompose_chart(xi: Chart, t_set: GroundSet) -> SignedDecomposition:
     """Group parameters into maximal runs of constant sign of q."""
-    signs = []
-    for t in t_set.params:
-        s = sign(q_eval(xi, t))
-        if s == 0:
-            raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
-        signs.append(s)
+    signs = _q_signs(xi, t_set)
     sizes = tuple(len(list(g)) for _, g in groupby(signs))
     if len(sizes) - 1 > xi.d:
         raise CrossCheckError(

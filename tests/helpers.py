@@ -8,7 +8,18 @@ definitions, used to validate the fast implementations.
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from veronese import CircularComposition, GroundSet, SignedDecomposition
+from veronese import (
+    CircularComposition,
+    DimensionMismatchError,
+    GroundSet,
+    InvalidInstanceError,
+    SignedDecomposition,
+    curve_point,
+    lambda_eval,
+    q_eval,
+    sign_det,
+)
+from veronese.exact import sign
 
 
 def random_ground_set(rng, n, span=30, max_den=8):
@@ -140,3 +151,38 @@ def certificate_unpruned(fc) -> bytes:
     search(_refine(facets, [0] * n))
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
+
+
+def _check_instance_literal(xi, t_set):
+    for t in t_set.params:
+        if q_eval(xi, t) == 0:
+            raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
+
+
+def facet_test_lambda_literal(xi, t_set, s_values) -> bool:
+    """The lambda test evaluated from its definition for one subset:
+    Fraction Horner checks of the instance and lambda_S at every point."""
+    s = set(Fraction(v) for v in s_values)
+    if len(s) != xi.d:
+        raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
+    _check_instance_literal(xi, t_set)
+    signs = set(
+        sign(lambda_eval(xi, s, t)) for t in t_set.params if t not in s
+    )
+    return len(signs) == 1 and 0 not in signs
+
+
+def facet_test_determinant_literal(xi, t_set, s_values) -> bool:
+    """The determinant test on the Fraction curve points themselves,
+    rebuilt for every determinant."""
+    s = sorted(set(Fraction(v) for v in s_values))
+    if len(s) != xi.d:
+        raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
+    _check_instance_literal(xi, t_set)
+    base = [list(curve_point(xi, v)) for v in s]
+    signs = set()
+    for t in t_set.params:
+        if t in s:
+            continue
+        signs.add(sign_det(base + [list(curve_point(xi, t))]))
+    return len(signs) == 1 and 0 not in signs

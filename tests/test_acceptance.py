@@ -89,7 +89,7 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_four_way_equivalence():
     rng = random.Random(20260823)
-    with criterion(2, 120.0):
+    with criterion(2, 30.0):
         for _ in range(500):
             d = rng.randint(2, 6)
             n = rng.randint(d + 1, 10)
@@ -138,7 +138,7 @@ def test_criterion_5_type_counts_spot_checks():
 
 def test_criterion_6_vertex_counts():
     rng = random.Random(6)
-    with criterion(6, 120.0):
+    with criterion(6, 10.0):
         assert len(vertex_set(CircularComposition(4, (10,), dividers=0))) == 10
         assert len(vertex_set(CircularComposition(4, (2, 3, 2, 3)))) == 8
         assert len(vertex_set(CircularComposition(4, (1, 1, 1, 7)))) == 5

@@ -283,6 +283,27 @@ def test_usage_error_is_one_json_object(capsys, argv):
     assert _one_json_error(captured.err)["error"] == "invalid-input"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--d", "0", "--n", "1"],
+    ["enumerate", "--d", "0", "--n", "2"],
+    ["enumerate", "--d", "0", "--n", "3"],
+    ["enumerate", "--d", "0..3", "--n", "4"],
+    ["facets", "--d", "0", "--arcs", "2"],
+    ["facets", "--d", "0", "--t=1,2", "--xi=1"],
+    ["count", "--d", "-1", "--arcs", "2"],
+    ["chart", "--d", "0", "--sizes", "2", "--t=1,2"],
+])
+def test_dimension_below_1_is_invalid_input(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the shared --d
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    error = _one_json_error(captured.err)
+    assert error["error"] == "invalid-input" and "--d" in error["message"]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "-h"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,41 @@ def test_sign_det_matches_laplace(rows):
     det = _laplace_det(rows)
     expected = 0 if det == 0 else (1 if det > 0 else -1)
     assert sign_det(rows) == expected
+
+
+def _random_int_matrix(rng, n):
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 1 and n > 1:  # singular: a row is a combination of two others
+        a, b = rng.sample(range(n), 2)
+        rows[rng.randrange(n)] = [2 * x - y for x, y in zip(rows[a], rows[b])]
+    elif kind == 2 and n > 1:  # the first pivot is zero: elimination swaps rows
+        rows[0][0] = 0
+    elif kind == 3:  # a zero column
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
+def test_sign_det_int_rows_match_fraction_rows():
+    rng = random.Random(61)
+    seen = set()
+    for case in range(600):
+        n = 1 + case % 7
+        rows = _random_int_matrix(rng, n)
+        before = [list(row) for row in rows]
+        expected = sign_det(rows)
+        assert rows == before  # int rows are copied, not eliminated in place
+        assert sign_det([[Fraction(x) for x in row] for row in rows]) == expected
+        mixed = [[rng.choice((bool, int, Fraction))(x) if x in (0, 1)
+                  else rng.choice((int, Fraction))(x) for x in row] for row in rows]
+        assert sign_det(mixed) == expected
+        if n <= 5:
+            det = _laplace_det(rows)
+            assert expected == (det > 0) - (det < 0)
+        seen.add(expected)
+    assert seen == {-1, 0, 1}
 
 
 @given(st.lists(rationals, min_size=1, max_size=6, unique=True))

@@ -26,7 +26,12 @@ from veronese import (
     vertices_geometric,
 )
 
-from helpers import random_decomposition, random_ground_set
+from helpers import (
+    facet_test_determinant_literal,
+    facet_test_lambda_literal,
+    random_decomposition,
+    random_ground_set,
+)
 
 T_EXAMPLE = GroundSet((-3, -2, -1, 1, 2, 3, 4))
 XI_EXAMPLE = Chart((0, -1, 0, 0, 0))
@@ -216,3 +221,65 @@ def test_chamber_count():
 def test_facets_are_d_sets():
     fc = enumerate_facets_geometric(XI_EXAMPLE, T_EXAMPLE)
     assert all(len(f) == 4 for f in fc.facets)
+
+
+def _outcome(test, *args):
+    """The test's answer, or the type of the input error it raised."""
+    try:
+        return test(*args)
+    except (DimensionMismatchError, InvalidInstanceError, PointAtInfinityError) as exc:
+        return type(exc)
+
+
+def _random_chart(rng, d, roots):
+    """Fractional coefficients of q = prod_{r in roots}(t - r) * p(t)."""
+    coords = [Fraction(0)]
+    while not any(coords):
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                  for _ in range(d + 1 - len(roots))]
+    for r in roots:
+        coords = [a - r * b for a, b in zip([Fraction(0)] + coords, coords + [0])]
+    return Chart(tuple(coords))
+
+
+def test_geometric_tests_match_literal_oracles():
+    rng = random.Random(906)
+    seen = set()
+    for case in range(150):
+        d = 1 + case % 6
+        n = rng.randint(d + 1, 10)
+        t_set = random_ground_set(rng, n)
+        params = t_set.params
+        outside = Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+        while outside in params:
+            outside += Fraction(1, 7)
+        # charts that vanish on T, outside T, or both (where d allows two roots)
+        roots = ([], [rng.choice(params)], [outside], [rng.choice(params), outside])
+        xi = _random_chart(rng, d, roots[case % 4][:d])
+        subsets = [[params[i] for i in idxs] for idxs in combinations(range(n), d)]
+        some = rng.sample(subsets, min(4, len(subsets)))
+        subsets += [[outside] + s[1:] for s in some]       # S leaves T
+        subsets += [s[:-1] for s in some] + [s + [outside] for s in some]
+        subsets += [[s[0]] + s[:-1] for s in some]         # a repeated value
+        lambda_literal = []
+        for s in subsets:
+            for new, literal in ((facet_test_lambda, facet_test_lambda_literal),
+                                 (facet_test_determinant, facet_test_determinant_literal)):
+                expected = _outcome(literal, xi, t_set, s)
+                assert _outcome(new, xi, t_set, s) == expected, (xi, t_set, s, new)
+                seen.add((new.__name__, expected))
+                if literal is facet_test_lambda_literal:
+                    lambda_literal.append(expected)
+        # the oracle scan: the literal lambda outcomes of the d-subsets
+        if InvalidInstanceError in lambda_literal:
+            with pytest.raises(InvalidInstanceError):
+                enumerate_facets_geometric(xi, t_set)
+        else:
+            scan = zip(combinations(range(n), d), lambda_literal)
+            assert enumerate_facets_geometric(xi, t_set).facets \
+                == tuple(idxs for idxs, facet in scan if facet)
+    # every outcome was reached by both tests
+    for name in ("facet_test_lambda", "facet_test_determinant"):
+        assert {got for test, got in seen if test == name} >= {
+            True, False, DimensionMismatchError, InvalidInstanceError}
+    assert ("facet_test_determinant", PointAtInfinityError) in seen
