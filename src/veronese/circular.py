@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations
-from math import comb, prod
+from itertools import accumulate
+from math import comb
 
 from .errors import (
     DimensionMismatchError,
@@ -193,39 +193,42 @@ def _compositions_nonneg(total, parts):
             yield (first,) + rest
 
 
-def facet_count(c: CircularComposition) -> int:
-    """Closed formula for the number of facets.
+def _series_mul(a, b):
+    """Product of two power series truncated at the length of a."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
 
-    Facets are parametrized by which arcs contribute 0 or 2 divider
-    picks (two interlacing subsets A and B of the arc indices) and by
-    how many consecutive pairs fall into each arc.
+
+def facet_count(c: CircularComposition) -> int:
+    """Closed formula for the number of facets, by a transfer matrix
+    around the circle.
+
+    Each divider picks the last point of the arc before it (state 0) or
+    the first point of the arc after it (state 1).  Arc j, between
+    dividers j-1 and j, then loses p = [state_{j-1} = 1] + [state_j = 0]
+    of its m_j points to divider picks, and k disjoint consecutive pairs
+    fit into the rest in C(m_j - p - k, k) ways.  With
+    M_j[a][b] = sum_k C(m_j - p - k, k) x^k for states a, b of its two
+    dividers, the count is the coefficient of x^r, r = (d - l)/2, in
+    trace(M_1 ... M_l).  The two constant state sequences are the
+    all-last and all-first divider picks; every other one takes no
+    point from the arcs where the state rises and two where it falls,
+    which interlace: the sum over the interlacing subsets A, B of arc
+    indices, factored.  Work is O(l r^2).
     """
     n, d, l = c.n, c.d, c.l
     if l == 0:
         h = d // 2
         return _binom(n - h, h) + _binom(n - 1 - h, h - 1)
-    m = c.arcs
     r = (d - l) // 2
-    total = 0
-    for rs in _compositions_nonneg(r, l):
-        # both all-first-endpoint and all-last-endpoint divider picks
-        total += 2 * prod(_binom(m[j] - 1 - rs[j], rs[j]) for j in range(l))
-        for q in range(1, l // 2 + 1):
-            for support in combinations(range(l), 2 * q):
-                for a_set, b_set in (
-                    (support[0::2], support[1::2]),
-                    (support[1::2], support[0::2]),
-                ):
-                    term = 1
-                    for j in range(l):
-                        if j in a_set:
-                            term *= _binom(m[j] - rs[j], rs[j])
-                        elif j in b_set:
-                            term *= _binom(m[j] - 2 - rs[j], rs[j])
-                        else:
-                            term *= _binom(m[j] - 1 - rs[j], rs[j])
-                    total += term
-    return total
+    walk = [[[1] + [0] * r if a == b else [0] * (r + 1) for b in (0, 1)]
+            for a in (0, 1)]
+    for m in c.arcs:
+        arc = [[[_binom(m - (a + 1 - b) - k, k) for k in range(r + 1)]
+                for b in (0, 1)] for a in (0, 1)]
+        walk = [[[x + y for x, y in zip(_series_mul(walk[a][0], arc[0][b]),
+                                         _series_mul(walk[a][1], arc[1][b]))]
+                 for b in (0, 1)] for a in (0, 1)]
+    return walk[0][0][r] + walk[1][1][r]
 
 
 def realize(c: CircularComposition):

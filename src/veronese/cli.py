@@ -238,7 +238,8 @@ def build_parser():
     common.add_argument("--check", action="store_true",
                         help="cross-check: facets, vertices and decompose compare "
                              "the four facet characterizations, count compares the "
-                             "formula with enumeration; other commands ignore it")
+                             "formula with enumeration (exponential in the number "
+                             "of arcs); other commands ignore it")
     parser = _Parser(prog="veronese", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 

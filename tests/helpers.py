@@ -7,6 +7,7 @@ definitions, used to validate the fast implementations.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, prod
 
 from veronese import (
     CircularComposition,
@@ -186,3 +187,49 @@ def facet_test_determinant_literal(xi, t_set, s_values) -> bool:
             continue
         signs.add(sign_det(base + [list(curve_point(xi, t))]))
     return len(signs) == 1 and 0 not in signs
+
+
+def _binom(n, k):
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+def _compositions_nonneg(total, parts):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions_nonneg(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def facet_count_literal(c) -> int:
+    """The facet-count formula as a literal sum: over the consecutive
+    pairs per arc and over the interlacing subsets A (no divider pick in
+    the arc) and B (two picks) of the arc indices."""
+    n, d, l = c.n, c.d, c.l
+    if l == 0:
+        h = d // 2
+        return _binom(n - h, h) + _binom(n - 1 - h, h - 1)
+    m = c.arcs
+    r = (d - l) // 2
+    total = 0
+    for rs in _compositions_nonneg(r, l):
+        # both all-first-endpoint and all-last-endpoint divider picks
+        total += 2 * prod(_binom(m[j] - 1 - rs[j], rs[j]) for j in range(l))
+        for q in range(1, l // 2 + 1):
+            for support in combinations(range(l), 2 * q):
+                for a_set, b_set in (
+                    (support[0::2], support[1::2]),
+                    (support[1::2], support[0::2]),
+                ):
+                    term = 1
+                    for j in range(l):
+                        if j in a_set:
+                            term *= _binom(m[j] - rs[j], rs[j])
+                        elif j in b_set:
+                            term *= _binom(m[j] - 2 - rs[j], rs[j])
+                        else:
+                            term *= _binom(m[j] - 1 - rs[j], rs[j])
+                    total += term
+    return total

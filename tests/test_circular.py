@@ -20,7 +20,7 @@ from veronese import (
     vertex_set,
 )
 
-from helpers import random_composition, random_decomposition
+from helpers import facet_count_literal, random_composition, random_decomposition
 
 
 def test_composition_validation():
@@ -109,6 +109,43 @@ def test_facet_count_odd_cyclic_formula():
             c = CircularComposition(d, (n,))
             h = (d - 1) // 2
             assert facet_count(c) == 2 * comb(n - 1 - h, h)
+
+
+def _arc_sequences(n, l):
+    if l == 1:
+        yield (n,)
+        return
+    for first in range(1, n - l + 2):
+        for rest in _arc_sequences(n - first, l - 1):
+            yield (first,) + rest
+
+
+def test_facet_count_matches_literal_sum():
+    # every composition with 2 <= d <= 7 and n <= 12, then random ones
+    # up to d = 12 with at most 8 arcs
+    for d in range(2, 8):
+        for n in range(d + 1, 13):
+            cs = [CircularComposition(d, arcs) for l in range(d % 2 or 2, d + 1, 2)
+                  if l <= n for arcs in _arc_sequences(n, l)]
+            if d % 2 == 0:
+                cs.append(CircularComposition(d, (n,), dividers=0))
+            for c in cs:
+                assert facet_count(c) == facet_count_literal(c), c
+    rng = random.Random(12)
+    for _ in range(300):
+        d = rng.randint(2, 12)
+        c = random_composition(rng, d, rng.randint(d + 1, d + 6))
+        if c.l <= 8:
+            assert facet_count(c) == facet_count_literal(c), c
+
+
+def test_facet_count_many_arcs():
+    # l = d leaves no consecutive pairs, and on arcs of two points no two
+    # divider picks collide: one facet per choice of pick per divider
+    assert facet_count(CircularComposition(200, (2,) * 200)) == 2 ** 200
+    for arcs in ((1, 2, 1, 1, 3, 1, 2, 1, 1, 1, 2, 1), (3, 1, 1, 4, 1, 2, 1, 1, 2, 5)):
+        c = CircularComposition(14 - len(arcs) % 4, arcs)
+        assert facet_count(c) == facet_count_literal(c)
 
 
 @settings(max_examples=60, deadline=None)
