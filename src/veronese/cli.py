@@ -171,10 +171,16 @@ def _cmd_chart_order(args):
 
 
 def _cmd_enumerate(args):
-    dims = _int_range(args.d)
-    if min(dims, default=1) < 1:
+    dims, sizes = _int_range(args.d), _int_range(args.n)
+    if not dims:
+        raise InputError(f"--d: {args.d} selects no dimension")
+    if min(dims) < 1:
         raise InputError(f"--d: the dimension must be at least 1, got {min(dims)}")
-    rows = table_report(dims, _int_range(args.n))
+    if not sizes:
+        raise InputError(f"--n: {args.n} selects no vertex count")
+    if max(sizes) < min(dims) + 1:
+        raise InputError(f"--n: {args.n} has no vertex count n >= d+1 for --d {args.d}")
+    rows = table_report(dims, sizes)
     return rows, [("d", "n", "count")] + [(r["d"], r["n"], r["count"]) for r in rows]
 
 

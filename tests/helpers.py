@@ -11,6 +11,7 @@ from math import comb, prod
 
 from veronese import (
     CircularComposition,
+    DegenerateComplexError,
     DimensionMismatchError,
     GroundSet,
     InvalidInstanceError,
@@ -121,12 +122,96 @@ def all_d_subsets(n, d):
     return combinations(range(n), d)
 
 
+def refine_literal(facets, colors):
+    """Refine vertex colors by incident-facet fingerprints to a fixpoint.
+
+    A facet's fingerprint is the sorted color multiset of its vertices;
+    a vertex signature keeps its old color first, so each round refines
+    the previous partition.
+    """
+    n = len(colors)
+    while True:
+        prints = [tuple(sorted(colors[v] for v in f)) for f in facets]
+        incident = [[] for _ in range(n)]
+        for f, fp in zip(facets, prints):
+            for v in f:
+                incident[v].append(fp)
+        sigs = [(colors[v], tuple(sorted(incident[v]))) for v in range(n)]
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def encode_literal(facets, colors):
+    relabeled = sorted(tuple(sorted(colors[v] for v in f)) for f in facets)
+    return tuple(relabeled)
+
+
+def certificate_literal(fc) -> bytes:
+    """The orbit-pruned certificate search with a full refinement per
+    node, the oracle for the back-jumping incremental one."""
+    if not fc.facets:
+        raise DegenerateComplexError("empty facet complex has no certificate")
+    fc = fc.restrict_to_vertices()
+    n = fc.n_labels
+    facets = [tuple(f) for f in fc.facets]
+    best = [None, None]  # minimal encoding, and the leaf colors giving it
+    automorphisms = []
+
+    def orbit_root(parent, v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def search(colors, prefix):
+        counts = {}
+        for color in colors:
+            counts[color] = counts.get(color, 0) + 1
+        target = next((c for c in sorted(counts) if counts[c] > 1), None)
+        if target is None:
+            enc = encode_literal(facets, colors)
+            if best[0] is None or enc < best[0]:
+                best[0], best[1] = enc, colors
+            elif enc == best[0]:
+                # equal encodings: the vertex of color k here maps to the
+                # vertex of color k in the best leaf, an automorphism
+                vertex_of = {c: v for v, c in enumerate(best[1])}
+                automorphisms.append([vertex_of[c] for c in colors])
+            return
+        explored, seen = [], 0
+        parent = list(range(n))
+        for v in range(n):
+            if colors[v] != target:
+                continue
+            if seen < len(automorphisms):
+                # orbits under the automorphisms fixing the prefix pointwise
+                for auto in automorphisms[seen:]:
+                    if all(auto[p] == p for p in prefix):
+                        for u in range(n):
+                            a, b = orbit_root(parent, u), orbit_root(parent, auto[u])
+                            if a != b:
+                                parent[a] = b
+                seen = len(automorphisms)
+            root = orbit_root(parent, v)
+            if any(orbit_root(parent, u) == root for u in explored):
+                continue
+            explored.append(v)
+            branched = [(c, 1) if u != v else (c, 0) for u, c in enumerate(colors)]
+            order = {s: i for i, s in enumerate(sorted(set(branched)))}
+            search(refine_literal(facets, [order[s] for s in branched]), prefix + (v,))
+
+    search(refine_literal(facets, [0] * n), ())
+    body = ";".join("-".join(map(str, f)) for f in best[0])
+    return f"{n}:{fc.d}:{body}".encode("ascii")
+
+
 def certificate_unpruned(fc) -> bytes:
     """The certificate search without automorphism pruning: every
     individualization leaf is visited and the minimal encoding kept.
     Factorial on symmetric complexes; the oracle for the pruned search."""
-    from veronese.canonical import _encode, _refine
-
     fc = fc.restrict_to_vertices()
     n = fc.n_labels
     facets = [tuple(f) for f in fc.facets]
@@ -138,7 +223,7 @@ def certificate_unpruned(fc) -> bytes:
             counts[color] = counts.get(color, 0) + 1
         target = next((c for c in sorted(counts) if counts[c] > 1), None)
         if target is None:
-            enc = _encode(facets, colors)
+            enc = encode_literal(facets, colors)
             if best[0] is None or enc < best[0]:
                 best[0] = enc
             return
@@ -147,9 +232,9 @@ def certificate_unpruned(fc) -> bytes:
                 continue
             branched = [(c, 1) if u != v else (c, 0) for u, c in enumerate(colors)]
             order = {s: i for i, s in enumerate(sorted(set(branched)))}
-            search(_refine(facets, [order[s] for s in branched]))
+            search(refine_literal(facets, [order[s] for s in branched]))
 
-    search(_refine(facets, [0] * n))
+    search(refine_literal(facets, [0] * n))
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
 

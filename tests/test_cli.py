@@ -304,6 +304,21 @@ def test_dimension_below_1_is_invalid_input(capsys, argv):
     assert error["error"] == "invalid-input" and "--d" in error["message"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["enumerate", "--d", "2", "--n", "0"], "--n"),
+    (["enumerate", "--d", "2", "--n", "-3"], "--n"),
+    (["enumerate", "--d", "3..1", "--n", "4"], "--d"),
+    (["enumerate", "--d", "2", "--n", "5..3"], "--n"),
+    (["enumerate", "--d", "3", "--n", "2"], "--n"),
+    (["enumerate", "--d", "4..5", "--n", "1..4"], "--n"),
+])
+def test_enumerate_selecting_no_cell_is_invalid_input(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    error = _one_json_error(err)
+    assert error["error"] == "invalid-input" and flag in error["message"]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "-h"])

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,16 @@ from veronese import (
     table_report,
 )
 
+from veronese import canonical
 from veronese.canonical import _type_candidates
 
-from helpers import brute_force_isomorphic, certificate_unpruned, random_composition
+from helpers import (
+    brute_force_isomorphic,
+    certificate_literal,
+    certificate_unpruned,
+    random_composition,
+    refine_literal,
+)
 
 
 def _relabel(fc: FacetComplex, perm):
@@ -54,6 +62,84 @@ def test_certificate_matches_unpruned_search():
                 assert certificate(_relabel(fc, perm)) == expected, c
                 checked += 1
     assert checked == 160
+
+
+def _unpruned_test_complexes():
+    """The complexes of test_certificate_matches_unpruned_search, each
+    also relabelled."""
+    rng = random.Random(4)
+    for d in range(1, 7):
+        for n in range(d + 1, 11):
+            for c in _type_candidates(d, n):
+                fc = enumerate_facets_circular(c)
+                yield fc
+                yield _relabel(fc, rng.sample(range(fc.n_labels), fc.n_labels))
+
+
+def _ranks(labels):
+    order = {label: i for i, label in enumerate(sorted(set(labels)))}
+    return [order[label] for label in labels]
+
+
+def test_refinement_matches_literal_at_every_node(monkeypatch):
+    # every refinement the search makes ends in the colors the literal
+    # refinement reaches from the same start, with cell-end labels,
+    # matching cells and current fingerprints
+    refine = canonical._refine
+    calls = 0
+
+    def checked(facets, incidence, labels, cells, prints, changed):
+        nonlocal calls
+        calls += 1
+        start = _ranks(labels)
+        refine(facets, incidence, labels, cells, prints, changed)
+        assert _ranks(labels) == refine_literal(facets, start)
+        assert all(label == sum(w <= label for w in labels) - 1 for label in labels)
+        groups = {}
+        for v, label in enumerate(labels):
+            groups.setdefault(label, []).append(v)
+        assert {label: sorted(members) for label, members in cells.items()} \
+            == {label: vs for label, vs in groups.items() if len(vs) > 1}
+        assert prints == [tuple(sorted(labels[v] for v in f)) for f in facets]
+
+    monkeypatch.setattr(canonical, "_refine", checked)
+    for fc in _unpruned_test_complexes():
+        certificate(fc)
+    assert calls > 320  # more than the roots of the 320 searches
+
+
+def _disjoint_cycles(*sizes):
+    """A 2-regular graph as a facet complex of edges: refinement cannot
+    tell its cycles apart, but no automorphism maps one onto another of
+    a different length."""
+    edges, first = [], 0
+    for size in sizes:
+        edges += [(first + i, first + (i + 1) % size) for i in range(size)]
+        first += size
+    return FacetComplex(first, 2, tuple(edges))
+
+
+def _symmetric_complexes():
+    yield "simplex-12", FacetComplex(12, 11, tuple(combinations(range(12), 11)))
+    yield "cross-polytope-d8", enumerate_facets_circular(CircularComposition(8, (2,) * 8))
+    for n in range(3, 13):
+        for d in range(2, n):
+            cyclic = CircularComposition(d, (n,), dividers=0 if d % 2 == 0 else -1)
+            yield f"cyclic-{d}-{n}", enumerate_facets_circular(cyclic)
+    for sizes in [(3, 4), (3, 3, 4), (3, 4, 6), (3, 3, 3, 4), (3, 3, 4, 4)]:
+        yield f"cycles-{sizes}", _disjoint_cycles(*sizes)
+
+
+def test_certificate_matches_literal_on_symmetric_complexes():
+    # the back-jumping, incremental search against the orbit-pruned
+    # search with a full refinement per node, byte for byte
+    rng = random.Random(7)
+    for name, fc in _symmetric_complexes():
+        expected = certificate_literal(fc)
+        assert certificate(fc) == expected, name
+        for _ in range(3):
+            perm = rng.sample(range(fc.n_labels), fc.n_labels)
+            assert certificate(_relabel(fc, perm)) == expected, name
 
 
 def test_certificate_empty_complex():
