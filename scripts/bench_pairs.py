@@ -1,0 +1,43 @@
+"""Alternating perfbench runs on two source trees, printed as one JSON object.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload cli_mix \
+        --seeds 1 2 3 --seconds 24
+
+Each seed is one pair: perfbench/run.py runs in each tree on its own
+sources, the parent first in the 1st, 3rd, ... pair and the change first
+in the others.  A run keeps its last two stdout lines: details and result.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+
+
+def run(tree, workload, seed, seconds):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    detail, result = out.stdout.strip().splitlines()[-2:]
+    return {"detail": json.loads(detail), "result": json.loads(result)}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args, pairs = parser.parse_args(), []
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {side: run(getattr(args, side), args.workload, seed, args.seconds)
+                for side in order}
+        pairs.append({"seed": seed, "first": order[0], **runs})
+    print(json.dumps({"workload": args.workload, "seconds": args.seconds,
+                      "pairs": pairs}))
+
+
+if __name__ == "__main__":
+    main()

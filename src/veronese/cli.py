@@ -14,6 +14,7 @@ the formula with enumeration.  The other commands accept and ignore it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -87,12 +88,16 @@ def _int_range(text):
 
 def _source(args):
     """The command's input: the instance (t_set, xi) of --t/--xi, or the
-    composition of --arcs/--dividers.  Exactly one of the two is given."""
+    composition of --arcs/--dividers.  Exactly one of the two is given;
+    without --dividers the composition has one divider per arc."""
     t, arcs = getattr(args, "t", None), getattr(args, "arcs", None)
     if (t is None) == (arcs is None):
         raise InputError("provide either --t/--xi or --arcs")
     if arcs is not None:
-        return CircularComposition(args.d, _ints(arcs), dividers=args.dividers)
+        dividers = getattr(args, "dividers", -1)
+        return CircularComposition(args.d, _ints(arcs), dividers=dividers)
+    if hasattr(args, "dividers"):
+        raise InputError("--dividers applies only to a composition (--arcs)")
     if args.xi is None:
         raise InputError("--t requires --xi")
     t_set = GroundSet(_params(t))
@@ -233,7 +238,12 @@ def _required(argument):
     return flag, dict(keywords, required=True)
 
 
+@functools.cache
 def build_parser():
+    # one parser per process: it does not depend on the argv, and argparse
+    # does not change a parser while it parses, so every call of main()
+    # shares it (build_parser.__wrapped__ builds a fresh one)
+    #
     # the global flags sit on the main parser and on every subparser, so
     # they are accepted on either side of the subcommand; their defaults
     # are suppressed, so a subparser never overwrites a value given before
@@ -260,7 +270,7 @@ def build_parser():
     t = ("--t", dict(help="comma-separated parameters, e.g. -3,-2,-1,1/2"))
     xi = ("--xi", dict(help="comma-separated chart coefficients"))
     arcs = ("--arcs", dict(help="comma-separated arc sizes"))
-    dividers = ("--dividers", dict(type=int, default=-1))
+    dividers = ("--dividers", dict(type=int, default=argparse.SUPPRESS))
     dimension = parent(("--d", dict(type=_dimension, required=True)))
     either_source = parent(t, xi, arcs, dividers)
     composition = parent(_required(arcs), dividers)

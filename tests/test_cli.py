@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from veronese import CircularComposition, FacetComplex, enumerate_facets_circular
+from veronese import CircularComposition, FacetComplex, cli, enumerate_facets_circular
 from veronese.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -347,3 +347,85 @@ def test_closed_stdout_exits_0_quietly(argv, read):
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 0 and err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["facets", "--d", "2", "--t=1,2,3", "--xi=1,0,1", "--dividers", "3"],
+    ["facets", "--d", "2", "--t=1,2,3", "--xi=1,0,1", "--dividers=-1"],
+    ["vertices", "--d", "2", "--t=1,2,3", "--xi=1,0,1", "--dividers", "0"],
+], ids=["facets", "facets-minus-one", "vertices"])
+def test_dividers_without_arcs_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    error = _one_json_error(err)
+    assert error["error"] == "invalid-input" and "--dividers" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["facets", "vertices", "count", "classify"])
+def test_dividers_default_to_one_per_arc(capsys, command):
+    argv = [command, "--d", "4", "--arcs", "3,4"]
+    assert run(capsys, argv) == run(capsys, argv + ["--dividers", "2"])
+    assert run(capsys, argv + ["--dividers", "0"])[0] == 2  # needs a single arc
+
+
+TETRAHEDRON = json.dumps({"n_labels": 4, "d": 3,
+                          "facets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]})
+ENUMERATE = ["enumerate", "--d", "3", "--n", "4..6"]
+
+# every failure sits between two successes, so that running the list
+# forwards and then backwards follows each failure with a success
+PARSER_ORACLE_ARGV = [
+    EXAMPLE,
+    ["facets", "--d", "x"],  # usage error: bad int
+    EXAMPLE + ["--check"],
+    ["no-such-command"],  # usage error: unknown command
+    ["facets", "--d", "4", "--arcs", "3,4"],
+    ["count", "--arcs", "3,4"],  # usage error: missing option
+    ["vertices", "--d", "4", "--arcs", "1,1,1,7"],
+    ["chart-order", "--d=4", "--xi=--"],  # usage error: "--opt=--"
+    ["vertices", "--d", "4", "--t=-3,-2,-1,1,2,3,4", "--xi=0,-1,0,0,0"],
+    ["facets", "--d", "4", "--t", "1,1,2,3,4", "--xi", "1,0,0,0,0"],  # InputError
+    ["decompose", "--d", "4", "--t=-3,-2,-1,1,2,3,4", "--xi=0,-1,0,0,0"],
+    ["-h"],
+    ["chart", "--d", "4", "--sizes", "3,4", "--t=-3,-2,-1,1,2,3,4"],
+    ["count", "-h"],
+    ["count", "--d", "4", "--arcs", "3,4", "--check"],
+    ["--format", "xml", "count", "--d", "4", "--arcs", "3,4"],  # usage error: choice
+    ["classify", "--d", "3", "--arcs", "2,2,2"],
+    ["facets", "--d", "4"],  # InputError: no source
+    ["chart-order", "--d", "4", "--xi", "1,-4,6,-4,1"],
+    ["certify", "--file", "no-such-file.json"],  # InputError
+    ["certify"],
+    ["--format", "json"] + ENUMERATE,
+    ENUMERATE + ["--format", "json"],
+    ["--format", "csv"] + ENUMERATE,
+    ENUMERATE + ["--format", "csv"],
+    ["--format", "pretty"] + ENUMERATE,
+    ENUMERATE + ["--format", "pretty"],
+    ["--check", "--format", "csv", "count", "--d", "4", "--arcs", "3,4"],
+    ["count", "--d", "4", "--arcs", "3,4", "--format", "pretty", "--check"],
+]
+
+
+def _outcome(capsys, monkeypatch, argv):
+    """(exit code, stdout, stderr) of main(argv), with the tetrahedron on stdin."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(TETRAHEDRON))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    argvs = PARSER_ORACLE_ARGV + PARSER_ORACLE_ARGV[::-1]
+    shared = [_outcome(capsys, monkeypatch, argv) for argv in argvs]
+    assert cli.build_parser.cache_info().currsize == 1
+    # the oracle: every call builds its own parser, as before memoization
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, monkeypatch, argv) for argv in argvs]
+    for argv, got, want in zip(argvs, shared, fresh):
+        assert got == want, argv
+    assert {code for code, _, _ in fresh} == {0, 2}

@@ -215,6 +215,14 @@ def test_count_types_examples():
     assert all(count_types(3, n) == 1 for n in range(7, 13))
 
 
+def test_count_types_d8_regression_values():
+    # the d = 8 row goes beyond the paper's Table 1; these are regression
+    # values, and only n = 10 and 11 (d+2 and d+3) are checked independently,
+    # against Perles' standard Gale diagrams in test_gale.py.  n = 13 and 14
+    # (121 and 183 types) are left out: they take about 3.8 s more
+    assert [count_types(8, n) for n in range(9, 13)] == [1, 4, 57, 91]
+
+
 def test_stacked_uniqueness_small():
     from veronese import is_stacked_family
 
