@@ -118,11 +118,15 @@ def canonical_arcs(c: CircularComposition) -> CircularComposition:
 
 
 def _pair_choices(n, count, blocked, start, chosen, out):
-    """Disjoint consecutive pairs (i, i+1 mod n) avoiding blocked labels."""
+    """Disjoint consecutive pairs (i, i+1 mod n) avoiding blocked labels.
+
+    The pairs start at increasing labels at least two apart, so the
+    first of count pairs starts below n - 2(count - 1): a start past that
+    leaves no room for the rest and is not tried."""
     if count == 0:
         out.append(tuple(chosen))
         return
-    for i in range(start, n):
+    for i in range(start, n - 2 * (count - 1)):
         j = (i + 1) % n
         if i in blocked or j in blocked:
             continue

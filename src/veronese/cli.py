@@ -250,7 +250,8 @@ def build_parser():
     # it, and main() supplies the defaults instead
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "csv", "pretty"))
+    common.add_argument("--format", choices=("json", "csv", "pretty"),
+                        help="output format (default json)")
     common.add_argument("--check", action="store_true",
                         help="cross-check: facets, vertices and decompose compare "
                              "the four facet characterizations, count compares the "
@@ -270,8 +271,12 @@ def build_parser():
     t = ("--t", dict(help="comma-separated parameters, e.g. -3,-2,-1,1/2"))
     xi = ("--xi", dict(help="comma-separated chart coefficients"))
     arcs = ("--arcs", dict(help="comma-separated arc sizes"))
-    dividers = ("--dividers", dict(type=int, default=argparse.SUPPRESS))
-    dimension = parent(("--d", dict(type=_dimension, required=True)))
+    dividers = ("--dividers", dict(
+        type=int, default=argparse.SUPPRESS,
+        help="number of dividers: 0 for a single arc with none, or the number "
+             "of arcs (the default); only with --arcs"))
+    dimension = parent(("--d", dict(type=_dimension, required=True,
+                                    help="dimension d of the polytope, at least 1")))
     either_source = parent(t, xi, arcs, dividers)
     composition = parent(_required(arcs), dividers)
 
@@ -280,8 +285,12 @@ def build_parser():
     add_command("decompose", "signed decomposition and induced composition",
                 _cmd_decompose, [dimension], _required(t), _required(xi))
     add_command("chart", "chart realizing a signed decomposition", _cmd_chart, [dimension],
-                ("--sizes", dict(required=True)),
-                ("--first-sign", dict(type=int, default=1)),
+                ("--sizes", dict(required=True,
+                                 help="comma-separated sizes of the constant-sign "
+                                      "intervals of q, left to right")),
+                ("--first-sign", dict(type=int, default=1,
+                                      help="sign of q on the first interval, "
+                                           "1 or -1 (default 1)")),
                 _required(t))
     add_command("count", "facet count by formula", _cmd_count, [dimension, composition])
     add_command("classify", "named-type flags of a composition", _cmd_classify,

@@ -9,20 +9,32 @@ determinants of curve-point matrices; both tests live here and share no
 code beyond rational arithmetic.  ``cross_check`` runs them beside the
 two line characterizations of ``facets``.
 
-Each call evaluates its instance once.  The lambda test takes sign q(t)
+The lambda test evaluates its instance once per call: it takes sign q(t)
 once per parameter t of T; for t outside S the definition
 lambda_S(t) = prod_{s in S}(t - s) / q(t) gives
 
     sign lambda_S(t) = sign q(t) * (-1)^#{s in S : s > t},
 
 so a subset costs only comparisons.  The determinant test builds each
-curve point once per call as an integer row: for t = a/b it takes
+curve point once per instance as an integer row: for t = a/b it takes
 sign(Q) * (b^d, a b^(d-1), ..., a^d) with Q = b^d L q(t) and L the lcm of
 the chart's denominators.  That row is |Q|/L times (1,t,...,t^d)/q(t), a
-positive multiple, so no determinant changes sign.  The determinant test
-stays independent of the lambda test: it computes q through its own
-integer rows, never through the sign table, and still decides each
-subset by one determinant per remaining point, with no closed form.
+positive multiple, so no determinant changes sign.  For S inside T each
+determinant is a chirotope value up to a row swap: moving the row of t
+from last place to its place in sorted order passes the rows of the
+s > t, so
+
+    sign det(rows(sorted S); row(t)) = (-1)^#{s in S : s > t} * chi(sorted(S + {t}))
+
+with chi(U) = sign det(rows(U)) for a sorted (d+1)-subset U of T.  The
+rows and chi are memoized per instance (a small LRU cache keyed by the
+chart and the ground set), chi lazily, so a cached instance holds at
+most one entry per (d+1)-subset of T, and a full scan of the d-subsets
+makes at most C(n, d+1) determinant evaluations instead of
+C(n, d) (n - d).  The determinant test stays independent of the lambda
+test: it computes q through its own integer rows, never through the
+sign table, and decides each subset by determinants, with no closed
+form.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, groupby
 from math import lcm
 
@@ -42,8 +55,19 @@ from .errors import (
     PointAtInfinityError,
     UnderdeterminedInstanceError,
 )
-from .exact import elementary_symmetric, sign, sign_det
+from .exact import sign, sign_det
 from .facets import FacetComplex, enumerate_facets_line, s123_decompose
+
+
+def _hash_once(obj, fields) -> int:
+    """hash(fields), computed on the first call and kept on obj: hashing
+    a tuple of Fractions rehashes every Fraction, and the determinant
+    memo hashes its instance on every call."""
+    h = obj.__dict__.get("_hash")
+    if h is None:
+        h = hash(fields)
+        object.__setattr__(obj, "_hash", h)
+    return h
 
 
 @dataclass(frozen=True)
@@ -57,6 +81,9 @@ class GroundSet:
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise InvalidInstanceError("parameters must be strictly increasing")
         object.__setattr__(self, "params", ts)
+
+    def __hash__(self):
+        return _hash_once(self, (self.params,))
 
     @property
     def n(self) -> int:
@@ -74,6 +101,9 @@ class Chart:
         if not cs or all(x == 0 for x in cs):
             raise InvalidChartError("chart must be nonzero")
         object.__setattr__(self, "coords", cs)
+
+    def __hash__(self):
+        return _hash_once(self, (self.coords,))
 
     @property
     def d(self) -> int:
@@ -170,35 +200,67 @@ def facet_test_lambda(xi: Chart, t_set: GroundSet, s_values) -> bool:
     return _one_lambda_sign(_q_signs(xi, t_set), t_set.params, s)
 
 
-def _curve_rows(xi: Chart, t_set: GroundSet) -> dict:
-    """Parameter -> its curve point as the integer row sign(Q) * (b^d,
-    a b^(d-1), ..., a^d) of t = a/b, Q = b^d L q(t): a positive multiple
-    of (1,t,...,t^d)/q(t) (see the module docstring)."""
+def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
+    """T's curve points in parameter order, each as the integer row
+    sign(Q) * (b^d, a b^(d-1), ..., a^d) of t = a/b, Q = b^d L q(t): a
+    positive multiple of (1,t,...,t^d)/q(t) (see the module docstring)."""
     d = xi.d
     scale = lcm(*(c.denominator for c in xi.coords))
     coeffs = [c.numerator * (scale // c.denominator) for c in xi.coords]
-    rows = {}
+    rows = []
     for t in t_set.params:
         a, b = t.numerator, t.denominator
         row = [a ** i * b ** (d - i) for i in range(d + 1)]
         q = sum(c * x for c, x in zip(coeffs, row))
         if q == 0:
             raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
-        rows[t] = row if q > 0 else [-x for x in row]
+        rows.append(row if q > 0 else [-x for x in row])
     return rows
+
+
+@lru_cache(maxsize=8)
+def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
+    """(parameter -> index, T's curve rows, chi) of the instance, where
+    chi maps a sorted index (d+1)-tuple U to sign det(rows(U)) and is
+    filled by facet_test_determinant.  Raises InvalidInstanceError,
+    which lru_cache does not keep, if the chart vanishes on T."""
+    rows = _curve_rows(xi, t_set)
+    return {t: i for i, t in enumerate(t_set.params)}, rows, {}
 
 
 def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
     """Independent oracle: the hyperplane through the curve points of S
     keeps all remaining generating points strictly on one side."""
-    s = set(Fraction(v) for v in s_values)
+    # T's own Fractions are kept as they are, so that the index lookups
+    # below find them by identity
+    s = {v if type(v) is Fraction else Fraction(v) for v in s_values}
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
-    rows = _curve_rows(xi, t_set)
-    # S's rows leave the table, so the rows left are T minus S
-    base = [rows.pop(v) if v in rows else list(curve_point(xi, v)) for v in sorted(s)]
-    signs = {sign_det(base + [row]) for row in rows.values()}
-    return len(signs) == 1 and 0 not in signs
+    index, rows, chi = _determinant_memo(xi, t_set)
+    picked = [index.get(v) for v in s]
+    if None in picked:
+        # S leaves T: S's rows leave the table, so the rows left are T minus S
+        left = dict(zip(t_set.params, rows))
+        base = [left.pop(v) if v in left else list(curve_point(xi, v)) for v in sorted(s)]
+        signs = {sign_det(base + [row]) for row in left.values()}
+        return len(signs) == 1 and 0 not in signs
+    picked.sort()
+    first = None
+    pos = 0  # number of picked indices below j
+    for j in range(len(rows)):
+        if pos < len(picked) and picked[pos] == j:
+            pos += 1
+            continue
+        key = (*picked[:pos], j, *picked[pos:])
+        c = chi.get(key)
+        if c is None:
+            c = chi[key] = sign_det([rows[i] for i in key])
+        # row j moves past the len(picked) - pos rows of S above it
+        c = c if (len(picked) - pos) % 2 == 0 else -c
+        if c == 0 or first not in (None, c):
+            return False
+        first = c
+    return first is not None
 
 
 def enumerate_facets_geometric(xi: Chart, t_set: GroundSet) -> FacetComplex:
@@ -265,11 +327,13 @@ def chart_from_decomposition(dec: SignedDecomposition, t_set: GroundSet) -> Char
     for size in dec.sizes[:-1]:
         pos += size
         roots.append((t_set.params[pos - 1] + t_set.params[pos]) / 2)
-    # q(t) = c * prod(t - root): expand via elementary symmetric sums
-    k = len(roots)
-    coeffs = [Fraction(0)] * (dec.d + 1)
-    for i in range(k + 1):
-        coeffs[k - i] = (-1) ** i * elementary_symmetric(roots, i)
+    # q(t) = prod(t - root), expanded one root at a time: with
+    # p(t) = sum p_i t^i, (t - r) p(t) has coefficients p_{i-1} - r p_i
+    coeffs = [Fraction(1)] + [Fraction(0)] * dec.d
+    for k, root in enumerate(roots, 1):
+        for i in range(k, 0, -1):
+            coeffs[i] = coeffs[i - 1] - root * coeffs[i]
+        coeffs[0] = -root * coeffs[0]
     xi = Chart(tuple(coeffs))
     if sign(q_eval(xi, t_set.params[0])) != dec.first_sign:
         xi = Chart(tuple(-c for c in coeffs))

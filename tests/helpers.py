@@ -274,6 +274,25 @@ def facet_test_determinant_literal(xi, t_set, s_values) -> bool:
     return len(signs) == 1 and 0 not in signs
 
 
+def pair_choices_literal(n, count, blocked, start, chosen, out):
+    """Disjoint consecutive pairs (i, i+1 mod n) avoiding blocked labels,
+    by trying every start label: exponential on dividerless compositions."""
+    if count == 0:
+        out.append(tuple(chosen))
+        return
+    for i in range(start, n):
+        j = (i + 1) % n
+        if i in blocked or j in blocked:
+            continue
+        blocked.add(i)
+        blocked.add(j)
+        chosen.append((i, j))
+        pair_choices_literal(n, count - 1, blocked, i + 1, chosen, out)
+        chosen.pop()
+        blocked.discard(i)
+        blocked.discard(j)
+
+
 def _binom(n, k):
     return comb(n, k) if 0 <= k <= n else 0
 

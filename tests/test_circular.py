@@ -20,7 +20,14 @@ from veronese import (
     vertex_set,
 )
 
-from helpers import facet_count_literal, random_composition, random_decomposition
+from veronese.circular import _pair_choices
+
+from helpers import (
+    facet_count_literal,
+    pair_choices_literal,
+    random_composition,
+    random_decomposition,
+)
 
 
 def test_composition_validation():
@@ -204,3 +211,15 @@ def test_realize_roundtrip(d, seed):
 def test_underdetermined():
     with pytest.raises(UnderdeterminedInstanceError):
         CircularComposition(5, (1, 1, 1, 1, 1))
+
+
+def test_pair_choices_match_literal_search():
+    rng = random.Random(909)
+    for _ in range(600):
+        n = rng.randint(1, 14)
+        count = rng.randint(0, n // 2 + 1)
+        blocked = set(rng.sample(range(n), rng.randint(0, min(n, 4))))
+        got, want = [], []
+        _pair_choices(n, count, set(blocked), 0, [], got)
+        pair_choices_literal(n, count, set(blocked), 0, [], want)
+        assert got == want, (n, count, blocked)

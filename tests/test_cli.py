@@ -327,6 +327,34 @@ def test_help_still_exits_0(capsys):
     assert captured.out.startswith("usage: veronese count") and captured.err == ""
 
 
+@pytest.mark.parametrize("command, phrases", [
+    ("facets", ["--d D dimension d of the polytope",
+                "--dividers DIVIDERS number of dividers: 0 for a single arc",
+                "the number of arcs (the default); only with --arcs"]),
+    ("chart", ["--d D dimension d of the polytope",
+               "--sizes SIZES comma-separated sizes of the constant-sign intervals",
+               "--first-sign FIRST_SIGN sign of q on the first interval, 1 or -1"]),
+])
+def test_help_describes_every_option(capsys, command, phrases):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in phrases:
+        assert phrase in text
+
+
+def test_large_dividerless_simplex_exits_0_quickly():
+    start = time.perf_counter()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "veronese.cli", "facets", "--d", "40", "--arcs", "41",
+         "--dividers", "0"], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert len(json.loads(proc.stdout)["facets"]) == 41
+    assert time.perf_counter() - start < 2.0
+
+
 def test_unparsable_parameter_is_invalid_input(capsys):
     code, out, err = run(capsys, ["facets", "--d", "2", "--t=1/0,1,2", "--xi=1,0,0"])
     assert code == 2 and out == ""

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import veronese.geometry as geometry
 from veronese import (
     Chart,
     CrossCheckError,
@@ -18,6 +19,7 @@ from veronese import (
     chart_from_decomposition,
     curve_point,
     decompose_chart,
+    elementary_symmetric,
     enumerate_facets_geometric,
     facet_test_determinant,
     facet_test_lambda,
@@ -283,3 +285,97 @@ def test_geometric_tests_match_literal_oracles():
         assert {got for test, got in seen if test == name} >= {
             True, False, DimensionMismatchError, InvalidInstanceError}
     assert ("facet_test_determinant", PointAtInfinityError) in seen
+
+
+def _determinant_scan(xi, t_set, outside):
+    """Both tests' outcomes on every d-subset of T, with an S that leaves
+    T (its first value replaced by outside) after each one."""
+    pairs = []
+    for idxs in combinations(range(t_set.n), xi.d):
+        for s in ([t_set.params[i] for i in idxs],
+                  [outside] + [t_set.params[i] for i in idxs[1:]]):
+            pairs.append((_outcome(facet_test_determinant, xi, t_set, s),
+                          _outcome(facet_test_determinant_literal, xi, t_set, s)))
+    return pairs
+
+
+def test_determinant_memo_matches_literal_oracle():
+    rng = random.Random(907)
+    geometry._determinant_memo.cache_clear()
+    for _ in range(12):
+        d = rng.randint(1, 4)
+        n = rng.randint(d + 1, 8)
+        t_set = random_ground_set(rng, n)
+        a = chart_from_decomposition(random_decomposition(rng, d, n), t_set)
+        b = _random_chart(rng, d, [])
+        while any(q_eval(b, t) == 0 for t in t_set.params):
+            b = _random_chart(rng, d, [])
+        outside = Fraction(61, 2)  # beyond the span of random_ground_set
+        # two charts on one ground set, interleaved A, B, A, so the memo
+        # holds both instances at once; then equal but distinct objects
+        twins = (Chart(tuple(a.coords)), GroundSet(tuple(t_set.params)))
+        for xi, ts in ((a, t_set), (b, t_set), (a, t_set), twins):
+            for got, want in _determinant_scan(xi, ts, outside):
+                assert got == want, (xi, ts)
+    assert geometry._determinant_memo.cache_info().hits > 0
+
+
+def test_determinant_memo_never_keeps_an_error():
+    xi = Chart((-2, 0, 1, 1))  # q(1) = 0
+    t_set = GroundSet((-2, 0, 1, 3, 4))
+    geometry._determinant_memo.cache_clear()
+    for _ in range(3):
+        for s in ((0, 1, 3), (-2, 3, 4), (5, 6, 7)):
+            with pytest.raises(InvalidInstanceError):
+                facet_test_determinant(xi, t_set, s)
+        with pytest.raises(DimensionMismatchError):
+            facet_test_determinant(xi, t_set, (0, 3))
+    assert geometry._determinant_memo.cache_info().currsize == 0
+    # the same ground set under a chart that does not vanish on it
+    ok = Chart((5, 0, 1, 1))
+    assert facet_test_determinant(ok, t_set, (0, 1, 3)) \
+        == facet_test_determinant_literal(ok, t_set, (0, 1, 3))
+
+
+def test_determinant_scan_makes_one_determinant_per_chirotope_entry(monkeypatch):
+    rng = random.Random(908)
+    d, n = 6, 10
+    t_set = random_ground_set(rng, n)
+    xi = chart_from_decomposition(random_decomposition(rng, d, n), t_set)
+    calls = []
+    sign_det = geometry.sign_det
+
+    def counted(rows):
+        calls.append(1)
+        return sign_det(rows)
+
+    monkeypatch.setattr(geometry, "sign_det", counted)
+    geometry._determinant_memo.cache_clear()
+    found = [idxs for idxs in combinations(range(n), d)
+             if facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])]
+    scan_calls = len(calls)
+    assert 0 < scan_calls <= comb(n, d + 1) < comb(n, d) * (n - d)
+    assert tuple(found) == enumerate_facets_geometric(xi, t_set).facets
+    # a second scan is answered from the memo
+    for idxs in combinations(range(n), d):
+        facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])
+    assert len(calls) == scan_calls
+
+
+def test_chart_coefficients_are_signed_elementary_symmetric_sums():
+    rng = random.Random(910)
+    for _ in range(200):
+        d = rng.randint(1, 12)
+        n = rng.randint(d + 1, 16)
+        t_set = random_ground_set(rng, n)
+        dec = random_decomposition(rng, d, n)
+        ends = [sum(dec.sizes[:j]) for j in range(1, len(dec.sizes))]
+        roots = [(t_set.params[e - 1] + t_set.params[e]) / 2 for e in ends]
+        k = len(roots)
+        # q = +-prod(t - root): the coefficient of t^j is (-1)^(k-j) e_(k-j)(roots)
+        want = [(-1) ** (k - j) * elementary_symmetric(roots, k - j) if j <= k else 0
+                for j in range(d + 1)]
+        want = Chart(tuple(want))
+        if (q_eval(want, t_set.params[0]) > 0) != (dec.first_sign > 0):
+            want = Chart(tuple(-c for c in want.coords))
+        assert chart_from_decomposition(dec, t_set) == want, (dec, t_set)
