@@ -6,12 +6,21 @@
 Each seed is one pair: perfbench/run.py runs in each tree on its own
 sources, the parent first in the 1st, 3rd, ... pair and the change first
 in the others.  A run keeps its last two stdout lines: details and result.
+
+The summary gives, per end-to-end metric of BENCHMARK.json, the parent's
+median and quartiles (statistics.quantiles, n=4), the change's median
+and the pairs each side won (a tie goes to neither), and the failed
+operations per side.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run(tree, workload, seed, seconds):
@@ -20,6 +29,26 @@ def run(tree, workload, seed, seconds):
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
     detail, result = out.stdout.strip().splitlines()[-2:]
     return {"detail": json.loads(detail), "result": json.loads(result)}
+
+
+def summary(pairs):
+    out = {}
+    for metric in json.loads(BENCHMARK.read_text())["end_to_end"]:
+        name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
+                  for side in ("parent", "change")}
+        parent = values["parent"]
+        quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+        margins = [sign * (c - p) for p, c in zip(parent, values["change"])]
+        out[name] = {"better": metric["better"],
+                     "parent_median": statistics.median(parent),
+                     "parent_quartiles": [quartiles[0], quartiles[2]],
+                     "change_median": statistics.median(values["change"]),
+                     "pairs_won": {"parent": sum(m < 0 for m in margins),
+                                   "change": sum(m > 0 for m in margins)}}
+    out["failed"] = {side: sum(p[side]["result"]["failed"] for p in pairs)
+                     for side in ("parent", "change")}
+    return out
 
 
 def main():
@@ -36,7 +65,7 @@ def main():
                 for side in order}
         pairs.append({"seed": seed, "first": order[0], **runs})
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "pairs": pairs}))
+                      "summary": summary(pairs), "pairs": pairs}))
 
 
 if __name__ == "__main__":

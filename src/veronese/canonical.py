@@ -47,7 +47,6 @@ from itertools import combinations
 
 from .circular import (
     CircularComposition,
-    _compositions_nonneg,
     canonical_arcs,
     enumerate_facets_circular,
 )
@@ -206,9 +205,11 @@ def enumerate_compositions(d: int, n_generators: int):
         if l == 0:
             out.append(CircularComposition(d, (n_generators,), dividers=0))
             continue
-        # positive arc sizes: nonnegative compositions of n - l, plus one
-        for extra in _compositions_nonneg(n_generators - l, l):
-            canon = canonical_arcs(CircularComposition(d, [m + 1 for m in extra]))
+        # positive arc sizes, cut at l-1 of the points 1..n-1 in
+        # lexicographic order
+        for cuts in combinations(range(1, n_generators), l - 1):
+            arcs = [b - a for a, b in zip((0,) + cuts, cuts + (n_generators,))]
+            canon = canonical_arcs(CircularComposition(d, arcs))
             if canon.arcs not in seen:
                 seen.add(canon.arcs)
                 out.append(canon)

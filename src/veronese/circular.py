@@ -5,14 +5,26 @@ gaps between consecutive arcs are the dividers.  Facets pick one point
 per divider plus disjoint consecutive pairs, which makes both facet
 enumeration and the closed facet-count formula purely combinatorial.
 
-Labels run 0..n-1 around the circle, arc 1 first.
+Both walk the same divider states.  Number the arcs 0..l-1; divider j,
+between arc j and arc j+1 (cyclically), picks the last point of arc j
+(state 0) or the first point of arc j+1 (state 1).  An arc of m points
+between dividers in states (a, b) loses p = [a = 1] + [b = 0] end points
+to them (p > m would pick a point twice), and k disjoint consecutive
+pairs fit on the other m - p points in C(m - p - k, k) ways, pair i
+starting at c_i + i for a k-subset c of range(m - p - k).
+``facet_count`` sums these with a transfer matrix, and
+``enumerate_facets_circular`` lists them arc by arc without recursion.
+Every facet is such a configuration and the paper counts as many facets
+as configurations, so each facet comes out once.
+
+Labels run 0..n-1 around the circle, starting with arc 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
 from .errors import (
@@ -62,21 +74,6 @@ class CircularComposition:
     def l(self) -> int:
         return self.dividers
 
-    def arc_bounds(self):
-        """(first_label, last_label) of each arc, in arc order."""
-        ends = list(accumulate(self.arcs))
-        return [(e - m, e - 1) for e, m in zip(ends, self.arcs)]
-
-    def divider_pairs(self):
-        """Label pairs {last of arc j, first of arc j+1}, cyclically."""
-        if self.l == 0:
-            return []
-        bounds = self.arc_bounds()
-        return [
-            (bounds[j][1], bounds[(j + 1) % self.l][0])
-            for j in range(self.l)
-        ]
-
 
 def induce_composition(dec: SignedDecomposition) -> CircularComposition:
     """Bend a signed line decomposition into a circle.
@@ -117,84 +114,80 @@ def canonical_arcs(c: CircularComposition) -> CircularComposition:
     return CircularComposition(c.d, min(images))
 
 
-def _pair_choices(n, count, blocked, start, chosen, out):
-    """Disjoint consecutive pairs (i, i+1 mod n) avoiding blocked labels.
-
-    The pairs start at increasing labels at least two apart, so the
-    first of count pairs starts below n - 2(count - 1): a start past that
-    leaves no room for the rest and is not tried."""
-    if count == 0:
-        out.append(tuple(chosen))
-        return
-    for i in range(start, n - 2 * (count - 1)):
-        j = (i + 1) % n
-        if i in blocked or j in blocked:
-            continue
-        blocked.add(i)
-        blocked.add(j)
-        chosen.append((i, j))
-        _pair_choices(n, count - 1, blocked, i + 1, chosen, out)
-        chosen.pop()
-        blocked.discard(i)
-        blocked.discard(j)
+def _pairs(lo, length, k):
+    """Label tuples of k disjoint consecutive pairs in the run of
+    length labels from lo, pair i starting at lo + c_i + i."""
+    return [tuple(x for i, s in enumerate(c) for x in (lo + s + i, lo + s + i + 1))
+            for c in combinations(range(length - k), k)]
 
 
 def enumerate_facets_circular(c: CircularComposition) -> FacetComplex:
     """All d-subsets picking one point per divider (all distinct) plus
-    (d-l)/2 pairwise disjoint consecutive pairs."""
+    (d-l)/2 pairwise disjoint consecutive pairs, by a walk over the
+    divider states that ``facet_count`` counts."""
     n, d, l = c.n, c.d, c.l
     if n <= d:
         raise UnderdeterminedInstanceError(
             f"need more than d={d} points, got {n}"
         )
     r = (d - l) // 2
-    dividers = c.divider_pairs()
-    facets = set()
-
-    def choose_divider(j, picked):
-        if j == len(dividers):
-            out = []
-            _pair_choices(n, r, set(picked), 0, [], out)
-            for pairs in out:
-                facet = frozenset(picked).union(*map(frozenset, pairs)) \
-                    if pairs else frozenset(picked)
-                facets.add(facet)
-            return
-        for p in dividers[j]:
-            if p not in picked:
-                picked.append(p)
-                choose_divider(j + 1, picked)
-                picked.pop()
-
-    choose_divider(0, [])
-    return FacetComplex(n, d, tuple(tuple(sorted(f)) for f in facets))
+    if l == 0:
+        # the path 0..n-1 holds r pairs, or the wrap pair (n-1, 0) and
+        # the path 1..n-2 holds the other r-1
+        wrapped = [(0, *pairs, n - 1) for pairs in _pairs(1, n - 2, r - 1)]
+        return FacetComplex(n, d, tuple(_pairs(0, n, r) + wrapped))
+    arcs = c.arcs
+    facets = []
+    for closing in (0, 1):  # the state of divider l-1, before arc 0
+        # room[j][b]: the most pairs arcs j+1, ..., l-1 can hold when
+        # divider j is in state b and the walk closes; -1 if it cannot
+        room = [None] * (l - 1) + [(0, -1) if closing == 0 else (-1, 0)]
+        for j in range(l - 1, 0, -1):
+            # divider j-1 in state a leaves arc j m - p points, p = a + 1 - b
+            m, (to0, to1) = arcs[j], room[j]
+            room[j - 1] = tuple(
+                max((m - a - 1) // 2 + to0 if to0 >= 0 and a < m else -1,
+                    (m - a) // 2 + to1 if to1 >= 0 else -1)
+                for a in (0, 1))
+        # depth-first; a stack entry is the next arc, its first label,
+        # the state of the divider before it, the pairs still to place,
+        # and the labels the previous arc adds at the given depth of the
+        # shared prefix.  Every entry pushed completes to a facet: the
+        # k pairs on arc j leave at most room[j][b] for the rest, and
+        # p > m or a room of -1 leaves no k at all.
+        labels, stack = [], [(0, 0, closing, r, 0, ())]
+        while stack:
+            j, lo, a, left, depth, chunk = stack.pop()
+            del labels[depth:]
+            labels += chunk
+            m, depth, last = arcs[j], len(labels), j + 1 == l
+            head = (lo,) if a else ()
+            for b, most in enumerate(room[j]):
+                p = a + 1 - b  # arc j's end points taken by its dividers
+                tail = () if b else (lo + m - 1,)
+                for k in range(max(0, left - most), min(left, (m - p) // 2) + 1):
+                    for pairs in _pairs(lo + a, m - p, k) if k else ((),):
+                        if last:
+                            facets.append((*labels, *head, *pairs, *tail))
+                        else:
+                            stack.append((j + 1, lo + m, b, left - k, depth,
+                                          head + pairs + tail))
+    return FacetComplex(n, d, tuple(facets))
 
 
 def vertex_set(c: CircularComposition) -> tuple:
-    """All labels when l < d; only divider endpoints when l = d."""
+    """All labels when l < d; only divider endpoints (the first and
+    last point of each arc) when l = d."""
     if c.l < c.d:
         return tuple(range(c.n))
-    labels = set()
-    for a, b in c.divider_pairs():
-        labels.add(a)
-        labels.add(b)
-    return tuple(sorted(labels))
+    ends = accumulate(c.arcs)
+    return tuple(sorted({x for e, m in zip(ends, c.arcs) for x in (e - m, e - 1)}))
 
 
 def _binom(n, k):
     if n < 0 or k < 0 or k > n:
         return 0
     return comb(n, k)
-
-
-def _compositions_nonneg(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions_nonneg(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _series_mul(a, b):
@@ -204,20 +197,15 @@ def _series_mul(a, b):
 
 def facet_count(c: CircularComposition) -> int:
     """Closed formula for the number of facets, by a transfer matrix
-    around the circle.
+    around the circle of divider states (see the module docstring).
 
-    Each divider picks the last point of the arc before it (state 0) or
-    the first point of the arc after it (state 1).  Arc j, between
-    dividers j-1 and j, then loses p = [state_{j-1} = 1] + [state_j = 0]
-    of its m_j points to divider picks, and k disjoint consecutive pairs
-    fit into the rest in C(m_j - p - k, k) ways.  With
-    M_j[a][b] = sum_k C(m_j - p - k, k) x^k for states a, b of its two
-    dividers, the count is the coefficient of x^r, r = (d - l)/2, in
-    trace(M_1 ... M_l).  The two constant state sequences are the
-    all-last and all-first divider picks; every other one takes no
-    point from the arcs where the state rises and two where it falls,
-    which interlace: the sum over the interlacing subsets A, B of arc
-    indices, factored.  Work is O(l r^2).
+    With M_j[a][b] = sum_k C(m_j - p - k, k) x^k for states a, b of the
+    two dividers of arc j, the count is the coefficient of x^r,
+    r = (d - l)/2, in trace(M_0 ... M_{l-1}).  The two constant state
+    sequences are the all-last and all-first divider picks; every other
+    one takes no point from the arcs where the state rises and two where
+    it falls, which interlace: the sum over the interlacing subsets A, B
+    of arc indices, factored.  Work is O(l r^2).
     """
     n, d, l = c.n, c.d, c.l
     if l == 0:

@@ -75,14 +75,21 @@ def _dimension(text):
     return d
 
 
-def _int_range(text):
-    """Parse "a..b" (inclusive) or a comma-separated list."""
+RANGE_CAP = 1000  # the most values an "a..b" range may hold
+
+
+def _int_range(text, flag):
+    """Parse "a..b" (inclusive) or a comma-separated list; a range is
+    checked against RANGE_CAP before it is built."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         try:
-            return list(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
         except ValueError as exc:
             raise InputError(f"bad range: {text!r}") from exc
+        if hi - lo >= RANGE_CAP:
+            raise InputError(f"{flag}: {text} holds more than {RANGE_CAP} values")
+        return list(range(lo, hi + 1))
     return list(_ints(text))
 
 
@@ -176,7 +183,7 @@ def _cmd_chart_order(args):
 
 
 def _cmd_enumerate(args):
-    dims, sizes = _int_range(args.d), _int_range(args.n)
+    dims, sizes = _int_range(args.d, "--d"), _int_range(args.n, "--n")
     if not dims:
         raise InputError(f"--d: {args.d} selects no dimension")
     if min(dims) < 1:

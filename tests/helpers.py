@@ -6,16 +6,18 @@ definitions, used to validate the fast implementations.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from math import comb, prod
 
 from veronese import (
     CircularComposition,
     DegenerateComplexError,
     DimensionMismatchError,
+    FacetComplex,
     GroundSet,
     InvalidInstanceError,
     SignedDecomposition,
+    UnderdeterminedInstanceError,
     curve_point,
     lambda_eval,
     q_eval,
@@ -291,6 +293,42 @@ def pair_choices_literal(n, count, blocked, start, chosen, out):
         chosen.pop()
         blocked.discard(i)
         blocked.discard(j)
+
+
+def enumerate_facets_circular_literal(c) -> FacetComplex:
+    """All d-subsets picking one point per divider (all distinct) plus
+    (d-l)/2 pairwise disjoint consecutive pairs, by a recursive search
+    over the divider picks and then over the pairs, deduplicated in a
+    set: the oracle for the divider-state walk."""
+    n, d, l = c.n, c.d, c.l
+    if n <= d:
+        raise UnderdeterminedInstanceError(
+            f"need more than d={d} points, got {n}"
+        )
+    r = (d - l) // 2
+    # label pairs {last of arc j, first of arc j+1}, cyclically
+    ends = list(accumulate(c.arcs))
+    bounds = [(e - m, e - 1) for e, m in zip(ends, c.arcs)]
+    dividers = [(bounds[j][1], bounds[(j + 1) % l][0]) for j in range(l)]
+    facets = set()
+
+    def choose_divider(j, picked):
+        if j == len(dividers):
+            out = []
+            pair_choices_literal(n, r, set(picked), 0, [], out)
+            for pairs in out:
+                facet = frozenset(picked).union(*map(frozenset, pairs)) \
+                    if pairs else frozenset(picked)
+                facets.add(facet)
+            return
+        for p in dividers[j]:
+            if p not in picked:
+                picked.append(p)
+                choose_divider(j + 1, picked)
+                picked.pop()
+
+    choose_divider(0, [])
+    return FacetComplex(n, d, tuple(tuple(sorted(f)) for f in facets))
 
 
 def _binom(n, k):

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from veronese import (
     CircularComposition,
+    FacetComplex,
     InvalidDecompositionError,
     SignedDecomposition,
     UnderdeterminedInstanceError,
     canonical_arcs,
     decompose_chart,
+    enumerate_compositions,
     enumerate_facets_circular,
     enumerate_facets_line,
     facet_count,
@@ -20,11 +22,12 @@ from veronese import (
     vertex_set,
 )
 
-from veronese.circular import _pair_choices
+from veronese import circular
 
 from helpers import (
+    _compositions_nonneg,
+    enumerate_facets_circular_literal,
     facet_count_literal,
-    pair_choices_literal,
     random_composition,
     random_decomposition,
 )
@@ -213,13 +216,51 @@ def test_underdetermined():
         CircularComposition(5, (1, 1, 1, 1, 1))
 
 
-def test_pair_choices_match_literal_search():
+def _walk_cases():
+    """Every canonical composition with d <= 8 and n <= d+6, then 600
+    random arc sequences, not canonicalized."""
+    for d in range(1, 9):
+        for n in range(d + 1, d + 7):
+            yield from enumerate_compositions(d, n)
     rng = random.Random(909)
     for _ in range(600):
-        n = rng.randint(1, 14)
-        count = rng.randint(0, n // 2 + 1)
-        blocked = set(rng.sample(range(n), rng.randint(0, min(n, 4))))
-        got, want = [], []
-        _pair_choices(n, count, set(blocked), 0, [], got)
-        pair_choices_literal(n, count, set(blocked), 0, [], want)
-        assert got == want, (n, count, blocked)
+        d = rng.randint(1, 10)
+        yield random_composition(rng, d, rng.randint(d + 1, d + 6))
+
+
+def test_walk_matches_literal_search(monkeypatch):
+    handed = []
+
+    def spy(n, d, facets):
+        handed.append(facets)
+        return FacetComplex(n, d, facets)
+
+    monkeypatch.setattr(circular, "FacetComplex", spy)
+    for c in _walk_cases():
+        assert enumerate_facets_circular(c).facets == \
+            enumerate_facets_circular_literal(c).facets, c
+        # the walk hands over each facet once, sorted: nothing to dedupe
+        facets = handed.pop()
+        assert len(facets) == len(set(facets)) == facet_count(c), c
+        assert all(list(f) == sorted(f) for f in facets), c
+
+
+def _compositions_literal(d, n):
+    """enumerate_compositions from the nonnegative compositions of n - l."""
+    out, seen = [], set()
+    for l in range(d % 2, d + 1, 2):
+        if l == 0:
+            out.append(CircularComposition(d, (n,), dividers=0))
+            continue
+        for extra in _compositions_nonneg(n - l, l):
+            canon = canonical_arcs(CircularComposition(d, [m + 1 for m in extra]))
+            if canon.arcs not in seen:
+                seen.add(canon.arcs)
+                out.append(canon)
+    return out
+
+
+def test_enumerate_compositions_match_nonnegative_compositions():
+    for d in range(1, 9):
+        for n in range(d + 1, d + 9):
+            assert enumerate_compositions(d, n) == _compositions_literal(d, n), (d, n)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -353,6 +354,52 @@ def test_large_dividerless_simplex_exits_0_quickly():
     assert proc.returncode == 0 and proc.stderr == b""
     assert len(json.loads(proc.stdout)["facets"]) == 41
     assert time.perf_counter() - start < 2.0
+
+
+MANY_ARCS = ",".join(["1"] * 1199 + ["2"])
+
+
+@pytest.mark.parametrize("argv, facets", [
+    (["facets", "--d", "2000", "--arcs", "2001", "--dividers", "0"], 2001),
+    (["facets", "--d", "1200", "--arcs", MANY_ARCS], 1201),
+    (["count", "--check", "--d", "1200", "--arcs", MANY_ARCS], 1201),
+], ids=["dividerless-d2000", "1200-arcs", "1200-arcs-count-check"])
+def test_deep_compositions_exit_0(capsys, argv, facets):
+    # d/2 pairs on one arc and one divider per arc: no call depth grows
+    # with either, so neither ends in a RecursionError
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 3.0
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    if argv[0] == "count":
+        assert data == {"count": facets, "enumerated": facets}
+    else:
+        assert len(data["facets"]) == facets
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["enumerate", "--d", "2", "--n", "3..2000000000"], "--n"),
+    (["enumerate", "--d", f"1..{cli.RANGE_CAP + 1}", "--n", "3"], "--d"),
+])
+def test_range_past_the_cap_is_invalid_input_in_bounded_memory(capsys, argv, flag):
+    cli.build_parser()  # built once per process, outside the budget
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert code == 2 and out == ""
+    error = _one_json_error(err)
+    assert error["error"] == "invalid-input" and flag in error["message"]
+
+
+def test_range_at_the_cap_is_accepted(capsys):
+    code, out, err = run(capsys, ["enumerate", "--d", f"1..{cli.RANGE_CAP}", "--n", "3"])
+    assert code == 0 and err == ""
+    assert [json.loads(line)["d"] for line in out.splitlines()] == [1, 2]
 
 
 def test_unparsable_parameter_is_invalid_input(capsys):

@@ -6,7 +6,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
 from veronese import chart_from_decomposition, enumerate_facets_circular
 from veronese.cli import main
@@ -135,6 +135,11 @@ def arbitrary(draw):
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(arbitrary(), well_formed(), mutated()))
+# a range past the cap, and compositions as deep as d/2 pairs on one arc
+# and as 1200 dividers
+@example((["enumerate", "--d", "2", "--n", "3..2000000000"], ""))
+@example((["facets", "--d", "2000", "--arcs", "2001", "--dividers", "0"], ""))
+@example((["facets", "--d", "1200", "--arcs", ",".join(["1"] * 1199 + ["2"])], ""))
 def test_main_honours_the_error_contract(request):
     argv, stdin = request
     out, err = io.StringIO(), io.StringIO()
