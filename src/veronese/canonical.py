@@ -30,12 +30,24 @@ subtree under another, with the same set of leaf encodings.
 
 * Orbit pruning: each node explores one child per orbit of its target
   cell under the automorphisms found so far that fix its prefix
-  pointwise.
+  pointwise.  Such an automorphism keeps every label of the node's
+  partition, so it maps the target cell onto itself, and the orbits are
+  the components of u - a(u) over the cell's members alone: a union-find
+  over the target cell, not over all n vertices.
 * Back-jumping: the automorphism found at a leaf fixes the prefix of the
   deepest common ancestor of that leaf and the best one, and maps the
   ancestor's child toward this leaf onto its child toward the best leaf,
   whose subtree was explored before.  Every encoding under the first
   child has been seen, so the search returns straight to the ancestor.
+
+The search is a loop over `path`, the inner nodes of the current branch,
+one per depth, so no call frame is taken per level.  Each node keeps
+`fixing`, and the invariant is that it holds exactly the automorphisms
+found so far that fix the node's prefix pointwise.  The child for v
+takes those of its parent's that fix v.  An automorphism found at a leaf
+is appended to every node left on the path after the back-jump, since
+each of their prefixes is part of the prefix the two leaves share; it is
+stored as the map of the vertices it moves.
 
 Only subtrees whose encodings were already seen are skipped, so the
 minimal encoding, and with it every certificate byte, is unchanged.
@@ -92,6 +104,22 @@ def _refine(facets, incidence, labels, cells, prints, changed):
                     changed += piece
 
 
+def _orbit(orbits, v):
+    """The root of v in the union-find `orbits`, halving the path."""
+    while orbits[v] != v:
+        orbits[v] = orbits[orbits[v]]
+        v = orbits[v]
+    return v
+
+
+def _join(orbits, auto):
+    """Merge the orbits of u and auto[u] for every u in `orbits` that the
+    automorphism moves; `auto` maps each vertex it moves to its image."""
+    for u, w in auto.items():
+        if u in orbits:
+            orbits[_orbit(orbits, u)] = _orbit(orbits, w)
+
+
 def certificate(fc: FacetComplex) -> bytes:
     """Canonical byte encoding of a vertex-reduced facet complex."""
     if not fc.facets:
@@ -103,76 +131,66 @@ def certificate(fc: FacetComplex) -> bytes:
     for i, f in enumerate(facets):
         for v in f:
             incidence[v].append(i)
-    best = [None, None, None]  # minimal encoding, its leaf's labels and prefix
-    automorphisms = []
-
-    def orbit_root(parent, v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def search(labels, cells, prints, prefix):
-        """Explore the node; returns the depth to back-jump to, or None."""
-        if not cells:
+    labels, prints = [n - 1] * n, [None] * len(facets)
+    cells = {n - 1: list(range(n))} if n > 1 else {}
+    _refine(facets, incidence, labels, cells, prints, range(n))
+    best, path = None, []  # the minimal encoding; one inner node per depth
+    node = labels, cells, prints, (), []
+    while node is not None:
+        labels, cells, prints, prefix, fixing = node
+        if cells:
+            path.append((labels, cells, prints, prefix, fixing, {},
+                         iter(sorted(cells[min(cells)])), []))
+        else:
             enc = tuple(sorted(prints))
-            if best[0] is None or enc < best[0]:
-                best[:] = enc, labels, prefix
-            elif enc == best[0]:
+            if best is None or enc < best:
+                best, best_labels, best_prefix = enc, labels, prefix
+            elif enc == best:
                 # equal encodings: the vertex of label k here maps to the
                 # vertex of label k in the best leaf, an automorphism
-                vertex_of = [0] * n
-                for v, label in enumerate(best[1]):
-                    vertex_of[label] = v
-                automorphisms.append([vertex_of[label] for label in labels])
+                vertex_of = {label: v for v, label in enumerate(best_labels)}
+                auto = {v: vertex_of[label] for v, label in enumerate(labels)
+                        if vertex_of[label] != v}
                 # back-jump to the deepest common ancestor of the two leaves
-                depth = 0
-                for u, w in zip(prefix, best[2]):
-                    if u != w:
-                        break
-                    depth += 1
-                return depth
-            return None
-        target = min(cells)
-        members = cells[target]
-        first = target - len(members) + 1
-        explored, seen = [], 0
-        parent = list(range(n))
-        for v in sorted(members):
-            if seen < len(automorphisms):
-                # orbits under the automorphisms fixing the prefix pointwise
-                for auto in automorphisms[seen:]:
-                    if all(auto[p] == p for p in prefix):
-                        for u in range(n):
-                            a, b = orbit_root(parent, u), orbit_root(parent, auto[u])
-                            if a != b:
-                                parent[a] = b
-                seen = len(automorphisms)
-            root = orbit_root(parent, v)
-            if any(orbit_root(parent, u) == root for u in explored):
+                # (neither prefix extends the other, as both end at leaves);
+                # the automorphism fixes every prefix left on the path
+                depth = next(i for i, (u, w) in enumerate(zip(prefix, best_prefix))
+                             if u != w)
+                del path[depth + 1:]
+                for _, _, _, _, fixing, orbits, _, _ in path:
+                    fixing.append(auto)
+                    _join(orbits, auto)
+        node = None
+        while path and node is None:
+            labels, cells, prints, prefix, fixing, orbits, untried, explored = path[-1]
+            target = min(cells)
+            if explored and not orbits:
+                # built on the first return here: a node that a back-jump
+                # removes before then never needs its orbits
+                orbits.update((u, u) for u in cells[target])
+                for auto in fixing:
+                    _join(orbits, auto)
+            # the first untried vertex outside the orbits explored here
+            v = next((v for v in untried if all(
+                _orbit(orbits, u) != _orbit(orbits, v) for u in explored)), None)
+            if v is None:
+                path.pop()
                 continue
             explored.append(v)
             # individualize v: it takes the cell's first position, and
             # the rest of the cell keeps its label
             child_labels, child_cells = labels.copy(), dict(cells)
-            child_labels[v] = first
-            rest = [u for u in members if u != v]
+            child_labels[v] = target - len(cells[target]) + 1
+            rest = [u for u in cells[target] if u != v]
             if len(rest) > 1:
                 child_cells[target] = rest
             else:
                 del child_cells[target]
             child_prints = prints.copy()
             _refine(facets, incidence, child_labels, child_cells, child_prints, [v])
-            jump = search(child_labels, child_cells, child_prints, prefix + (v,))
-            if jump is not None and jump < len(prefix):
-                return jump
-        return None
-
-    labels, prints = [n - 1] * n, [None] * len(facets)
-    cells = {n - 1: list(range(n))} if n > 1 else {}
-    _refine(facets, incidence, labels, cells, prints, range(n))
-    search(labels, cells, prints, ())
-    body = ";".join("-".join(map(str, f)) for f in best[0])
+            node = (child_labels, child_cells, child_prints, prefix + (v,),
+                    [auto for auto in fixing if v not in auto])
+    body = ";".join("-".join(map(str, f)) for f in best)
     return f"{n}:{fc.d}:{body}".encode("ascii")
 
 

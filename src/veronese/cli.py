@@ -8,7 +8,9 @@ cross-check failure.
 The global ``--check`` acts on four commands: ``facets``, ``vertices``
 and ``decompose`` compare the four facet characterizations on the
 instance (on ``realize(c)`` for a composition), and ``count`` compares
-the formula with enumeration.  The other commands accept and ignore it.
+the formula with enumeration.  For a composition, ``facets`` and
+``vertices`` also compare the printed answer with that of ``realize(c)``,
+label for label.  The other commands accept and ignore it.
 """
 
 from __future__ import annotations
@@ -117,15 +119,20 @@ def _source(args):
 def _on_source(args, on_composition, on_instance):
     """on_composition(c) or on_instance(xi, t_set) of the command's input,
     and with --check the report of cross_check on the instance, or on
-    realize(c), else None."""
+    realize(c), else None.  With --check a composition's answer must also
+    equal on_instance on realize(c), label for label."""
     source = _source(args)
-    if isinstance(source, CircularComposition):
-        result = on_composition(source)
-        t_set, xi = realize(source) if args.check else (None, None)
-    else:
+    if not isinstance(source, CircularComposition):
         t_set, xi = source
-        result = on_instance(xi, t_set)
-    return result, cross_check(xi, t_set) if args.check else None
+        return on_instance(xi, t_set), cross_check(xi, t_set) if args.check else None
+    result = on_composition(source)
+    if not args.check:
+        return result, None
+    t_set, xi = realize(source)
+    report = cross_check(xi, t_set)
+    if on_instance(xi, t_set) != result:
+        raise CrossCheckError("the composition's answer differs from its realization's")
+    return result, report
 
 
 def _cmd_facets(args):

@@ -112,20 +112,16 @@ def enumerate_facets_line(decomposition) -> FacetComplex:
             f"need more than d={d} generating points, got {n}"
         )
     target = n - d
-    complements = []
-
-    def extend(seq, nxt):
+    complements, stack = [], [()]
+    while stack:
+        seq = stack.pop()
         if len(seq) == target:
-            complements.append(tuple(seq))
-            return
+            complements.append(seq)
+            continue
         # feasibility: enough positions left to finish the sequence
-        for p in range(nxt, n - (target - len(seq)) + 2):
+        for p in range(seq[-1] + 1 if seq else 1, n - (target - len(seq)) + 2):
             if not seq or key[p] != key[seq[-1]]:
-                seq.append(p)
-                extend(seq, p + 1)
-                seq.pop()
-
-    extend([], 1)
+                stack.append(seq + (p,))
     full = set(range(1, n + 1))
     facets = [tuple(q - 1 for q in sorted(full.difference(c))) for c in complements]
     return FacetComplex(n, d, tuple(facets))

@@ -2,7 +2,10 @@
 
 Everything here is deliberately independent of the library's own
 algorithms: brute-force searches, permutation matching, and direct
-definitions, used to validate the fast implementations.
+definitions, used to validate the fast implementations.  The one
+exception is certificate_recursive, the search that the iterative
+certificate replaced, kept on the library's refinement so that the two
+can be compared node for node.
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ from veronese import (
     q_eval,
     sign_det,
 )
+from veronese.canonical import _refine
 from veronese.exact import sign
 
 
@@ -206,6 +210,93 @@ def certificate_literal(fc) -> bytes:
             search(refine_literal(facets, [order[s] for s in branched]), prefix + (v,))
 
     search(refine_literal(facets, [0] * n), ())
+    body = ";".join("-".join(map(str, f)) for f in best[0])
+    return f"{n}:{fc.d}:{body}".encode("ascii")
+
+
+def certificate_recursive(fc) -> bytes:
+    """The back-jumping certificate search as one recursive closure with a
+    global automorphism list, rescanned at every node against its prefix
+    and merged over all n vertices: the oracle for the iterative search,
+    node for node."""
+    if not fc.facets:
+        raise DegenerateComplexError("empty facet complex has no certificate")
+    fc = fc.restrict_to_vertices()
+    n = fc.n_labels
+    facets = [tuple(f) for f in fc.facets]
+    incidence = [[] for _ in range(n)]
+    for i, f in enumerate(facets):
+        for v in f:
+            incidence[v].append(i)
+    best = [None, None, None]  # minimal encoding, its leaf's labels and prefix
+    automorphisms = []
+
+    def orbit_root(parent, v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def search(labels, cells, prints, prefix):
+        """Explore the node; returns the depth to back-jump to, or None."""
+        if not cells:
+            enc = tuple(sorted(prints))
+            if best[0] is None or enc < best[0]:
+                best[:] = enc, labels, prefix
+            elif enc == best[0]:
+                # equal encodings: the vertex of label k here maps to the
+                # vertex of label k in the best leaf, an automorphism
+                vertex_of = [0] * n
+                for v, label in enumerate(best[1]):
+                    vertex_of[label] = v
+                automorphisms.append([vertex_of[label] for label in labels])
+                # back-jump to the deepest common ancestor of the two leaves
+                depth = 0
+                for u, w in zip(prefix, best[2]):
+                    if u != w:
+                        break
+                    depth += 1
+                return depth
+            return None
+        target = min(cells)
+        members = cells[target]
+        first = target - len(members) + 1
+        explored, seen = [], 0
+        parent = list(range(n))
+        for v in sorted(members):
+            if seen < len(automorphisms):
+                # orbits under the automorphisms fixing the prefix pointwise
+                for auto in automorphisms[seen:]:
+                    if all(auto[p] == p for p in prefix):
+                        for u in range(n):
+                            a, b = orbit_root(parent, u), orbit_root(parent, auto[u])
+                            if a != b:
+                                parent[a] = b
+                seen = len(automorphisms)
+            root = orbit_root(parent, v)
+            if any(orbit_root(parent, u) == root for u in explored):
+                continue
+            explored.append(v)
+            # individualize v: it takes the cell's first position, and
+            # the rest of the cell keeps its label
+            child_labels, child_cells = labels.copy(), dict(cells)
+            child_labels[v] = first
+            rest = [u for u in members if u != v]
+            if len(rest) > 1:
+                child_cells[target] = rest
+            else:
+                del child_cells[target]
+            child_prints = prints.copy()
+            _refine(facets, incidence, child_labels, child_cells, child_prints, [v])
+            jump = search(child_labels, child_cells, child_prints, prefix + (v,))
+            if jump is not None and jump < len(prefix):
+                return jump
+        return None
+
+    labels, prints = [n - 1] * n, [None] * len(facets)
+    cells = {n - 1: list(range(n))} if n > 1 else {}
+    _refine(facets, incidence, labels, cells, prints, range(n))
+    search(labels, cells, prints, ())
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
 

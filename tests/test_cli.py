@@ -207,7 +207,13 @@ def _no_facets(*args):
     (["vertices", "--d", "4", "--arcs", "3,4"], "veronese.geometry.s123_decompose",
      lambda dec, positions: None),
     (["count", "--d", "4", "--arcs", "3,4"], "veronese.cli.facet_count", lambda c: 11),
-], ids=["lambda", "determinant", "sigma_pa", "s123", "vertices-arcs", "count"])
+    # the printed answer of a composition against that of realize(c)
+    (["facets", "--d", "4", "--arcs", "3,4"], "veronese.cli.enumerate_facets_circular",
+     _no_facets),
+    (["vertices", "--d", "4", "--arcs", "1,1,1,7"], "veronese.cli.vertex_set",
+     lambda c: (0, 1, 2)),
+], ids=["lambda", "determinant", "sigma_pa", "s123", "vertices-arcs", "count",
+        "facets-printed", "vertices-printed"])
 def test_cross_check_failure_exit_3(capsys, monkeypatch, argv, target, broken):
     monkeypatch.setattr(target, broken)
     code, out, err = run(capsys, argv + ["--check"])
@@ -376,6 +382,15 @@ def test_deep_compositions_exit_0(capsys, argv, facets):
         assert data == {"count": facets, "enumerated": facets}
     else:
         assert len(data["facets"]) == facets
+
+
+def test_line_facets_of_many_points_exit_0(capsys):
+    # the cross-check lists the sigma-PA complements of 1099 positions
+    code, out, err = run(capsys, ["facets", "--d", "1", "--arcs", "1100", "--check"])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["facets"] == [[0], [1099]]
+    assert all(facets == data["facets"] for facets in data["check"].values())
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -22,9 +24,11 @@ from veronese import (
 from veronese import canonical
 from veronese.canonical import _type_candidates
 
+import helpers
 from helpers import (
     brute_force_isomorphic,
     certificate_literal,
+    certificate_recursive,
     certificate_unpruned,
     random_composition,
     refine_literal,
@@ -119,6 +123,11 @@ def _disjoint_cycles(*sizes):
     return FacetComplex(first, 2, tuple(edges))
 
 
+def _disjoint_edges(k):
+    """k disjoint edges: 2^k k! automorphisms, found one leaf at a time."""
+    return FacetComplex(2 * k, 2, tuple((2 * i, 2 * i + 1) for i in range(k)))
+
+
 def _symmetric_complexes():
     yield "simplex-12", FacetComplex(12, 11, tuple(combinations(range(12), 11)))
     yield "cross-polytope-d8", enumerate_facets_circular(CircularComposition(8, (2,) * 8))
@@ -128,18 +137,57 @@ def _symmetric_complexes():
             yield f"cyclic-{d}-{n}", enumerate_facets_circular(cyclic)
     for sizes in [(3, 4), (3, 3, 4), (3, 4, 6), (3, 3, 3, 4), (3, 3, 4, 4)]:
         yield f"cycles-{sizes}", _disjoint_cycles(*sizes)
+    for k in (1, 2, 5, 12):
+        yield f"edges-{k}", _disjoint_edges(k)
 
 
 def test_certificate_matches_literal_on_symmetric_complexes():
     # the back-jumping, incremental search against the orbit-pruned
-    # search with a full refinement per node, byte for byte
+    # search with a full refinement per node, and against the recursive
+    # search it replaced, byte for byte
     rng = random.Random(7)
     for name, fc in _symmetric_complexes():
         expected = certificate_literal(fc)
-        assert certificate(fc) == expected, name
+        assert certificate(fc) == certificate_recursive(fc) == expected, name
         for _ in range(3):
-            perm = rng.sample(range(fc.n_labels), fc.n_labels)
-            assert certificate(_relabel(fc, perm)) == expected, name
+            relabelled = _relabel(fc, rng.sample(range(fc.n_labels), fc.n_labels))
+            assert certificate(relabelled) == certificate_recursive(relabelled) \
+                == expected, name
+
+
+def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
+    # one refinement per search node: equal counts on every complex mean
+    # that the pruning skipped the same subtrees
+    refine, calls = canonical._refine, {}
+
+    def counted(name):
+        def counting_refine(*args):
+            calls[name] += 1
+            refine(*args)
+        return counting_refine
+
+    monkeypatch.setattr(canonical, "_refine", counted("iterative"))
+    monkeypatch.setattr(helpers, "_refine", counted("recursive"))
+    complexes = list(_symmetric_complexes()) + [
+        (c, enumerate_facets_circular(c)) for c in _type_candidates(6, 10)]
+    for name, fc in complexes:
+        calls.update(iterative=0, recursive=0)
+        assert certificate(fc) == certificate_recursive(fc), name
+        assert calls["iterative"] == calls["recursive"] > 0, name
+
+
+def test_certificate_search_depth_is_bounded():
+    # 60 disjoint edges individualize one vertex per edge, 60 levels;
+    # the search must not take a call frame per level
+    fc = _disjoint_edges(60)
+    expected = "120:2:" + ";".join(f"{2 * i}-{2 * i + 1}" for i in range(60))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        got = certificate(fc)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected.encode("ascii")
 
 
 def test_certificate_empty_complex():

@@ -86,6 +86,13 @@ def test_enumerate_facets_line_cyclic_even():
     assert fc.facets == expected
 
 
+def test_enumerate_facets_line_on_many_points():
+    # d = 1 on 1100 points: the complements are alternating sequences of
+    # 1099 positions, which a call frame per position could not reach
+    fc = enumerate_facets_line(SignedDecomposition((1100,), 1, 1))
+    assert fc.facets == ((0,), (1099,))
+
+
 def test_enumerate_facets_line_underdetermined():
     with pytest.raises(UnderdeterminedInstanceError):
         enumerate_facets_line(SignedDecomposition((2, 2), 1, 4))
