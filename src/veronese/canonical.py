@@ -57,11 +57,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .circular import (
-    CircularComposition,
-    canonical_arcs,
-    enumerate_facets_circular,
-)
+from .circular import CircularComposition, dihedral_min, enumerate_facets_circular
 from .errors import DegenerateComplexError
 from .facets import FacetComplex
 
@@ -216,21 +212,19 @@ def complex_invariant(fc: FacetComplex) -> tuple:
 
 def enumerate_compositions(d: int, n_generators: int):
     """All compositions of n points with l = d, d-2, ... dividers (down
-    to 0 or 1 by parity), one representative per dihedral class."""
+    to 0 or 1 by parity), one representative per dihedral class: its
+    lexicographically least arc sequence."""
+    n = n_generators
     out = []
-    seen = set()
     for l in range(d % 2, d + 1, 2):
-        if l == 0:
-            out.append(CircularComposition(d, (n_generators,), dividers=0))
-            continue
-        # positive arc sizes, cut at l-1 of the points 1..n-1 in
-        # lexicographic order
-        for cuts in combinations(range(1, n_generators), l - 1):
-            arcs = [b - a for a, b in zip((0,) + cuts, cuts + (n_generators,))]
-            canon = canonical_arcs(CircularComposition(d, arcs))
-            if canon.arcs not in seen:
-                seen.add(canon.arcs)
-                out.append(canon)
+        # positive arc sizes, cut at l-1 of the points 1..n-1 (none for a
+        # single arc) in lexicographic order, which orders the arc
+        # sequences lexicographically too: each dihedral class is listed
+        # once, at its least sequence, which is also its first to come
+        for cuts in combinations(range(1, n), max(l - 1, 0)):
+            arcs = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            if arcs == dihedral_min(arcs):
+                out.append(CircularComposition(d, arcs))
     return out
 
 

@@ -1,8 +1,11 @@
 """Circular compositions: the cyclic carrier of a combinatorial type.
 
-A composition is a cyclic arrangement of n points into l arcs; the l
-gaps between consecutive arcs are the dividers.  Facets pick one point
-per divider plus disjoint consecutive pairs, which makes both facet
+A composition is a cyclic arrangement of n points into arcs; the gaps
+between consecutive arcs are the dividers.  Their number l has the
+parity of d, so d and the arcs fix it: one divider per arc for two or
+more arcs, and l = d mod 2 for a single arc, whose one divider (odd d)
+sits between its last point and its first.  Facets pick one point per
+divider plus disjoint consecutive pairs, which makes both facet
 enumeration and the closed facet-count formula purely combinatorial.
 
 Both walk the same divider states.  Number the arcs 0..l-1; divider j,
@@ -40,19 +43,20 @@ from .geometry import Chart, GroundSet, SignedDecomposition, chart_from_decompos
 class CircularComposition:
     d: int
     arcs: tuple
-    dividers: int = field(default=-1)  # -1: default to len(arcs)
+    dividers: int = field(default=-1)  # -1: derive from d and the arcs
 
     def __post_init__(self):
         arcs = tuple(int(m) for m in self.arcs)
         if not arcs or any(m < 1 for m in arcs):
             raise InvalidDecompositionError(f"arc sizes must be positive: {arcs}")
-        l = len(arcs) if self.dividers == -1 else self.dividers
-        if l not in (0, len(arcs)):
+        if self.d < 1:
+            raise InvalidDecompositionError(f"dimension must be at least 1, got {self.d}")
+        l = len(arcs) if len(arcs) > 1 else self.d % 2
+        if self.dividers not in (-1, l):
             raise InvalidDecompositionError(
-                f"dividers must be 0 or {len(arcs)}, got {l}"
+                f"dimension {self.d} and {len(arcs)} arc(s) fix {l} divider(s), "
+                f"got {self.dividers}"
             )
-        if l == 0 and len(arcs) != 1:
-            raise InvalidDecompositionError("dividerless composition needs a single arc")
         if l % 2 != self.d % 2:
             raise InvalidDecompositionError(
                 f"{l} dividers and dimension {self.d} differ in parity"
@@ -79,14 +83,13 @@ def induce_composition(dec: SignedDecomposition) -> CircularComposition:
     """Bend a signed line decomposition into a circle.
 
     If the sign-change count k and d differ in parity, each interval
-    becomes an arc.  Otherwise the last and first intervals merge into
-    a single arc wrapping around the base point (dividerless when k=0).
+    becomes an arc, and so does the one interval of k = 0.  Otherwise
+    the last and first intervals merge into a single arc wrapping around
+    the base point.
     """
     sizes, d, k = dec.sizes, dec.d, dec.k
-    if (d - k) % 2 == 1:
+    if (d - k) % 2 == 1 or k == 0:
         return CircularComposition(d, sizes)
-    if k == 0:
-        return CircularComposition(d, (dec.n,), dividers=0)
     arcs = sizes[1:-1] + (sizes[-1] + sizes[0],)
     return CircularComposition(d, arcs)
 
@@ -101,17 +104,16 @@ def line_to_circle_map(dec: SignedDecomposition) -> tuple:
     return tuple((p - shift) % n for p in range(n))
 
 
+def dihedral_min(arcs: tuple) -> tuple:
+    """The lexicographically least rotation or reflection of a cyclic
+    sequence."""
+    return min(seq[i:] + seq[:i] for seq in (arcs, arcs[::-1]) for i in range(len(seq)))
+
+
 def canonical_arcs(c: CircularComposition) -> CircularComposition:
-    """Lexicographically minimal arc sequence over rotations and
-    reflections; the dividerless case is already canonical."""
-    if c.l <= 1:
-        return c
-    arcs = list(c.arcs)
-    images = []
-    for seq in (arcs, arcs[::-1]):
-        for i in range(len(seq)):
-            images.append(tuple(seq[i:] + seq[:i]))
-    return CircularComposition(c.d, min(images))
+    """The composition with the lexicographically minimal arc sequence
+    over rotations and reflections."""
+    return CircularComposition(c.d, dihedral_min(c.arcs))
 
 
 def _pairs(lo, length, k):
@@ -228,6 +230,5 @@ def realize(c: CircularComposition):
     is c up to rotation and reflection."""
     n = c.n
     t_set = GroundSet(tuple(Fraction(i) for i in range(1, n + 1)))
-    sizes = (n,) if c.l == 0 else c.arcs
-    dec = SignedDecomposition(sizes, 1, c.d)
+    dec = SignedDecomposition(c.arcs, 1, c.d)
     return t_set, chart_from_decomposition(dec, t_set)

@@ -33,7 +33,7 @@ def _reference_certificate(kind: str, d: int, nv: int) -> bytes:
     cyclic polytope (dividerless for even d, one divider for odd d),
     "stacked" the stacked family (all but one interval a singleton)."""
     if kind == "cyclic":
-        reference = CircularComposition(d, (nv,), dividers=0 if d % 2 == 0 else -1)
+        reference = CircularComposition(d, (nv,))
     else:
         sizes = (1,) * (d - 3) + (nv - (d - 3),)
         reference = induce_composition(SignedDecomposition(sizes, 1, d))

@@ -98,13 +98,13 @@ def _int_range(text, flag):
 def _source(args):
     """The command's input: the instance (t_set, xi) of --t/--xi, or the
     composition of --arcs/--dividers.  Exactly one of the two is given;
-    without --dividers the composition has one divider per arc."""
+    --dividers may be left out, since d and the arcs fix it, and a given
+    value is checked against them."""
     t, arcs = getattr(args, "t", None), getattr(args, "arcs", None)
     if (t is None) == (arcs is None):
         raise InputError("provide either --t/--xi or --arcs")
     if arcs is not None:
-        dividers = getattr(args, "dividers", -1)
-        return CircularComposition(args.d, _ints(arcs), dividers=dividers)
+        return CircularComposition(args.d, _ints(arcs), getattr(args, "dividers", -1))
     if hasattr(args, "dividers"):
         raise InputError("--dividers applies only to a composition (--arcs)")
     if args.xi is None:
@@ -287,8 +287,8 @@ def build_parser():
     arcs = ("--arcs", dict(help="comma-separated arc sizes"))
     dividers = ("--dividers", dict(
         type=int, default=argparse.SUPPRESS,
-        help="number of dividers: 0 for a single arc with none, or the number "
-             "of arcs (the default); only with --arcs"))
+        help="number of dividers; may be left out, since d and the arcs fix it: "
+             "one per arc, or d mod 2 for a single arc; only with --arcs"))
     dimension = parent(("--d", dict(type=_dimension, required=True,
                                     help="dimension d of the polytope, at least 1")))
     either_source = parent(t, xi, arcs, dividers)

@@ -31,7 +31,7 @@ Positions are 1-based internally (the parity conditions are stated for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import (
     DimensionMismatchError,
@@ -49,10 +49,13 @@ class FacetComplex:
     facets: tuple
 
     def __post_init__(self):
-        for f in self.facets:
-            for v in f:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InvalidIndexError(f"label {v!r} is not an integer")
+        # one C-level pass collects the label types; the culprit is looked
+        # for only on failure
+        if not all(issubclass(k, int) and k is not bool
+                   for k in set(map(type, chain.from_iterable(self.facets)))):
+            bad = next(v for v in chain.from_iterable(self.facets)
+                       if not isinstance(v, int) or isinstance(v, bool))
+            raise InvalidIndexError(f"label {bad!r} is not an integer")
         canon = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
         for f in canon:
             if len(f) != self.d or len(set(f)) != self.d:
@@ -66,7 +69,7 @@ class FacetComplex:
     @property
     def vertex_labels(self):
         """Sorted labels that appear in at least one facet."""
-        return tuple(sorted(set().union(*map(set, self.facets)) if self.facets else set()))
+        return tuple(sorted(set().union(*map(set, self.facets))))
 
     def restrict_to_vertices(self) -> "FacetComplex":
         """Relabel onto 0..m-1 where m is the number of used labels."""

@@ -220,20 +220,22 @@ def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
 
 @lru_cache(maxsize=8)
 def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
-    """(parameter -> index, T's curve rows, chi) of the instance, where
-    chi maps a sorted index (d+1)-tuple U to sign det(rows(U)) and is
-    filled by facet_test_determinant.  Raises InvalidInstanceError,
-    which lru_cache does not keep, if the chart vanishes on T."""
+    """((numerator, denominator) of a parameter -> index, T's curve rows,
+    chi) of the instance, where chi maps a sorted index (d+1)-tuple U to
+    sign det(rows(U)) and is filled by facet_test_determinant.  Raises
+    InvalidInstanceError, which lru_cache does not keep, if the chart
+    vanishes on T."""
     rows = _curve_rows(xi, t_set)
-    return {t: i for i, t in enumerate(t_set.params)}, rows, {}
+    return {(t.numerator, t.denominator): i for i, t in enumerate(t_set.params)}, rows, {}
 
 
 def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
     """Independent oracle: the hyperplane through the curve points of S
     keeps all remaining generating points strictly on one side."""
-    # T's own Fractions are kept as they are, so that the index lookups
-    # below find them by identity
-    s = {v if type(v) is Fraction else Fraction(v) for v in s_values}
+    # each value of S is hashed once, as its (numerator, denominator),
+    # which hashes in C; a Fraction's own hash takes a modular inverse
+    s = {(f.numerator, f.denominator)
+         for f in (v if type(v) is Fraction else Fraction(v) for v in s_values)}
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
     index, rows, chi = _determinant_memo(xi, t_set)
@@ -241,7 +243,8 @@ def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
     if None in picked:
         # S leaves T: S's rows leave the table, so the rows left are T minus S
         left = dict(zip(t_set.params, rows))
-        base = [left.pop(v) if v in left else list(curve_point(xi, v)) for v in sorted(s)]
+        base = [left.pop(v) if v in left else list(curve_point(xi, v))
+                for v in sorted(Fraction(*key) for key in s)]
         signs = {sign_det(base + [row]) for row in left.values()}
         return len(signs) == 1 and 0 not in signs
     picked.sort()

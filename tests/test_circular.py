@@ -41,9 +41,24 @@ def test_composition_validation():
     with pytest.raises(InvalidDecompositionError):
         CircularComposition(3, (7,), dividers=0)  # dividerless needs even d
     with pytest.raises(InvalidDecompositionError):
+        CircularComposition(4, (7,), dividers=1)  # one arc in even d has none
+    for arcs, dividers in (((5,), -1), ((5,), 0), ((2, 3), -1)):
+        with pytest.raises(InvalidDecompositionError):
+            CircularComposition(0, arcs, dividers)  # no composition below d = 1
+    with pytest.raises(InvalidDecompositionError):
+        induce_composition(SignedDecomposition((5,), 1, 0))
+    with pytest.raises(InvalidDecompositionError):
         CircularComposition(4, (3, 4), dividers=1)
     with pytest.raises(UnderdeterminedInstanceError):
         CircularComposition(4, (2, 2))
+
+
+def test_dividers_follow_from_d_and_the_arcs():
+    # one per arc for two or more arcs, d mod 2 for a single arc
+    for d, arcs, l in ((4, (7,), 0), (3, (7,), 1), (4, (3, 4), 2), (3, (1, 2, 4), 3)):
+        c = CircularComposition(d, arcs)
+        assert c.l == c.dividers == l
+        assert c == CircularComposition(d, arcs, dividers=l)
 
 
 def test_induce_composition_examples():

@@ -336,8 +336,9 @@ def test_help_still_exits_0(capsys):
 
 @pytest.mark.parametrize("command, phrases", [
     ("facets", ["--d D dimension d of the polytope",
-                "--dividers DIVIDERS number of dividers: 0 for a single arc",
-                "the number of arcs (the default); only with --arcs"]),
+                "--dividers DIVIDERS number of dividers; may be left out, since d and "
+                "the arcs fix it",
+                "one per arc, or d mod 2 for a single arc; only with --arcs"]),
     ("chart", ["--d D dimension d of the polytope",
                "--sizes SIZES comma-separated sizes of the constant-sign intervals",
                "--first-sign FIRST_SIGN sign of q on the first interval, 1 or -1"]),
@@ -456,6 +457,17 @@ def test_dividers_default_to_one_per_arc(capsys, command):
     argv = [command, "--d", "4", "--arcs", "3,4"]
     assert run(capsys, argv) == run(capsys, argv + ["--dividers", "2"])
     assert run(capsys, argv + ["--dividers", "0"])[0] == 2  # needs a single arc
+
+
+@pytest.mark.parametrize("command", ["facets", "count", "classify"])
+def test_single_arc_in_even_dimension_has_no_dividers(capsys, command):
+    argv = [command, "--d", "4", "--arcs", "7"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == "" and out
+    assert run(capsys, argv + ["--dividers", "0"]) == (code, out, err)
+    code, out, err = run(capsys, argv + ["--dividers", "1"])
+    assert code == 2 and out == ""
+    assert _one_json_error(err)["error"] == "invalid-decomposition"
 
 
 TETRAHEDRON = json.dumps({"n_labels": 4, "d": 3,
