@@ -1,15 +1,14 @@
-"""Code lines per module of a package, without blanks, comments or docstrings.
+"""Code lines per module of src/veronese, without blanks, comments or docstrings.
 
-    python3 scripts/code_lines.py [PACKAGE_DIR]
+    python3 scripts/code_lines.py
 
-PACKAGE_DIR defaults to src/veronese.  A line counts when it holds a
-token other than a comment and is not part of a module, class or
-function docstring.  One row per module, then the total.
+A line counts when it holds a token other than a comment and is not part
+of a module, class or function docstring.  One row per module, then the
+total.
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -36,14 +35,13 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv):
-    package = Path(argv[0]) if argv else PACKAGE
-    counts = {p.stem: code_lines(p.read_text()) for p in sorted(package.glob("*.py"))}
-    width = max(map(len, counts), default=5)
+def main():
+    counts = {p.stem: code_lines(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    width = max(map(len, counts))
     for name, count in counts.items():
         print(f"{name:<{width}} {count:>5}")
     print(f"{'total':<{width}} {sum(counts.values()):>5}")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -104,7 +104,7 @@ def _source(args):
     if (t is None) == (arcs is None):
         raise InputError("provide either --t/--xi or --arcs")
     if arcs is not None:
-        return CircularComposition(args.d, _ints(arcs), getattr(args, "dividers", -1))
+        return CircularComposition(args.d, _ints(arcs), dividers=getattr(args, "dividers", -1))
     if hasattr(args, "dividers"):
         raise InputError("--dividers applies only to a composition (--arcs)")
     if args.xi is None:
