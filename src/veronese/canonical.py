@@ -236,20 +236,13 @@ def _type_candidates(d: int, n_vertices: int):
             if c.l < d or max(c.arcs) <= 2]
 
 
-def _types(d: int, n_vertices: int):
-    """(certificate, composition, facet complex) per combinatorial type,
-    sorted by certificate bytes."""
-    found = {}
-    for c in _type_candidates(d, n_vertices):
-        fc = enumerate_facets_circular(c)
-        found.setdefault(certificate(fc), (c, fc))
-    return [(cert, c, fc) for cert, (c, fc) in sorted(found.items())]
-
-
 def distinct_types(d: int, n_vertices: int):
     """One representative composition per combinatorial type, each with
     its certificate, sorted by certificate bytes."""
-    return [(cert, c) for cert, c, _ in _types(d, n_vertices)]
+    found = {}
+    for c in _type_candidates(d, n_vertices):
+        found.setdefault(certificate(enumerate_facets_circular(c)), c)
+    return sorted(found.items())
 
 
 def count_types(d: int, n_vertices: int) -> int:
@@ -258,7 +251,7 @@ def count_types(d: int, n_vertices: int) -> int:
 
 def table_report(d_values, n_values):
     """Rows of (d, n, count, types) with per-type classification flags."""
-    from .classify import _classify
+    from .classify import classify_composition
 
     rows = []
     for d in d_values:
@@ -270,9 +263,9 @@ def table_report(d_values, n_values):
                     "arcs": list(c.arcs),
                     "dividers": c.dividers,
                     "certificate": cert.hex(),
-                    "flags": _classify(c, fc, cert),
+                    "flags": classify_composition(c),
                 }
-                for cert, c, fc in _types(d, n)
+                for cert, c in distinct_types(d, n)
             ]
             rows.append({"d": d, "n": n, "count": len(types), "types": types})
     return rows

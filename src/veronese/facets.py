@@ -74,6 +74,8 @@ class FacetComplex:
     def restrict_to_vertices(self) -> "FacetComplex":
         """Relabel onto 0..m-1 where m is the number of used labels."""
         verts = self.vertex_labels
+        if len(verts) == self.n_labels:
+            return self
         new = {v: i for i, v in enumerate(verts)}
         return FacetComplex(
             len(verts), self.d,

@@ -2,13 +2,16 @@
 
 Everything here is deliberately independent of the library's own
 algorithms: brute-force searches, permutation matching, and direct
-definitions, used to validate the fast implementations.  The one
-exception is certificate_recursive, the search that the iterative
-certificate replaced, kept on the library's refinement so that the two
-can be compared node for node.
+definitions, used to validate the fast implementations.  Two
+exceptions keep code that the library replaced.  certificate_recursive
+is the search that the iterative certificate replaced, kept on the
+library's refinement so that the two can be compared node for node.
+classify_literal is the certificate-based classification that the
+arc-based one replaced, kept on the library's facets and certificates.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, permutations
 from math import comb, prod
 
@@ -21,12 +24,18 @@ from veronese import (
     InvalidInstanceError,
     SignedDecomposition,
     UnderdeterminedInstanceError,
+    certificate,
     curve_point,
+    enumerate_facets_circular,
+    induce_composition,
+    is_cross_polytope,
     lambda_eval,
     q_eval,
     sign_det,
+    vertex_set,
 )
 from veronese.canonical import _refine
+from veronese.classify import _neighbourly
 from veronese.exact import sign
 
 
@@ -466,3 +475,39 @@ def facet_count_literal(c) -> int:
                             term *= _binom(m[j] - 1 - rs[j], rs[j])
                     total += term
     return total
+
+
+@lru_cache(maxsize=128)
+def _reference_certificate_literal(kind: str, d: int, nv: int) -> bytes:
+    """Certificate of the reference type on nv vertices: "cyclic" is the
+    cyclic polytope (dividerless for even d, one divider for odd d),
+    "stacked" the stacked family (all but one interval a singleton)."""
+    if kind == "cyclic":
+        reference = CircularComposition(d, (nv,))
+    else:
+        sizes = (1,) * (d - 3) + (nv - (d - 3),)
+        reference = induce_composition(SignedDecomposition(sizes, 1, d))
+    return certificate(enumerate_facets_circular(reference))
+
+
+def _classify_literal(c, fc, mine: bytes) -> dict:
+    """The flags of c, given its facet complex and its certificate."""
+    verts = vertex_set(c)
+    nv = len(verts)
+    return {
+        "vertices": nv,
+        "facets": len(fc.facets),
+        "simplex": nv == c.d + 1,
+        "cross": is_cross_polytope(c),
+        "stacked_family": c.d >= 3 and mine == _reference_certificate_literal("stacked", c.d, nv),
+        "cyclic": mine == _reference_certificate_literal("cyclic", c.d, nv),
+        "neighbourly": c.d < 2 or _neighbourly(fc, verts, c.d // 2),
+    }
+
+
+def classify_literal(c) -> dict:
+    """The classification the arc-based classify_composition replaced:
+    the facet complex, its certificate compared with the references',
+    and every floor(d/2)-subset of vertices tested against the facets."""
+    fc = enumerate_facets_circular(c)
+    return _classify_literal(c, fc, certificate(fc))

@@ -1,10 +1,13 @@
 import pytest
+from helpers import classify_literal
 
 from veronese import (
     CircularComposition,
     DomainError,
+    certificate,
     classify_composition,
     distinct_types,
+    enumerate_compositions,
     enumerate_facets_circular,
     facet_count,
     is_cross_polytope,
@@ -126,3 +129,25 @@ def test_classify_flags_match_the_recognizers():
                 flags = classify_composition(c)
                 assert flags["stacked_family"] == is_stacked_family(c), c
                 assert flags["cyclic"] == is_cyclic_type(c), c
+
+
+def test_classify_matches_the_certificate_classification():
+    for d in range(1, 7):
+        for n in range(d + 1, d + 6):
+            for c in enumerate_compositions(d, n):
+                arcs = c.arcs[1:] + c.arcs[:1]
+                for case in (c, CircularComposition(d, arcs), CircularComposition(d, arcs[::-1])):
+                    assert classify_composition(case) == classify_literal(case), case
+
+
+def test_type_key_classes_are_certificate_classes():
+    from veronese.canonical import _type_candidates
+    from veronese.classify import type_key
+
+    for d in range(2, 8):
+        for n in range(d + 1, d + 5):
+            pairs = {(type_key(c), certificate(enumerate_facets_circular(c)))
+                     for c in _type_candidates(d, n)}
+            keys, certs = zip(*pairs)
+            # the pairing is a bijection: one key per certificate and back
+            assert len(pairs) == len(set(keys)) == len(set(certs)), (d, n)

@@ -370,7 +370,8 @@ MANY_ARCS = ",".join(["1"] * 1199 + ["2"])
     (["facets", "--d", "2000", "--arcs", "2001", "--dividers", "0"], 2001),
     (["facets", "--d", "1200", "--arcs", MANY_ARCS], 1201),
     (["count", "--check", "--d", "1200", "--arcs", MANY_ARCS], 1201),
-], ids=["dividerless-d2000", "1200-arcs", "1200-arcs-count-check"])
+    (["classify", "--d", "1200", "--arcs", MANY_ARCS], 1201),
+], ids=["dividerless-d2000", "1200-arcs", "1200-arcs-count-check", "1200-arcs-classify"])
 def test_deep_compositions_exit_0(capsys, argv, facets):
     # d/2 pairs on one arc and one divider per arc: no call depth grows
     # with either, so neither ends in a RecursionError
@@ -381,6 +382,8 @@ def test_deep_compositions_exit_0(capsys, argv, facets):
     data = json.loads(out)
     if argv[0] == "count":
         assert data == {"count": facets, "enumerated": facets}
+    elif argv[0] == "classify":
+        assert data["facets"] == facets and data["simplex"]
     else:
         assert len(data["facets"]) == facets
 
