@@ -11,6 +11,10 @@ The summary gives, per end-to-end metric of BENCHMARK.json, the parent's
 median and quartiles (statistics.quantiles, n=4), the change's median
 and the pairs each side won (a tie goes to neither), and the failed
 operations per side.
+
+A run that exits nonzero ends the session: its side, seed, exit code and
+the tail of its stderr go to stderr, the pairs already done are printed
+as above, and the script exits 1.
 """
 
 import argparse
@@ -23,10 +27,17 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
+class RunFailed(Exception):
+    pass
+
+
 def run(tree, workload, seed, seconds):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.splitlines()[-20:])
+        raise RunFailed(f"seed {seed} exited {out.returncode}; stderr ends:\n{tail}")
     detail, result = out.stdout.strip().splitlines()[-2:]
     return {"detail": json.loads(detail), "result": json.loads(result)}
 
@@ -58,15 +69,22 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    args, pairs = parser.parse_args(), []
+    args, pairs, status = parser.parse_args(), [], 0
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs = {side: run(getattr(args, side), args.workload, seed, args.seconds)
-                for side in order}
+        runs = {}
+        try:
+            for side in order:
+                runs[side] = run(getattr(args, side), args.workload, seed, args.seconds)
+        except RunFailed as failure:
+            print(f"{side} run failed: {failure}", file=sys.stderr)
+            status = 1
+            break
         pairs.append({"seed": seed, "first": order[0], **runs})
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "summary": summary(pairs), "pairs": pairs}))
+                      "summary": summary(pairs) if pairs else None, "pairs": pairs}))
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -39,15 +39,30 @@ subtree under another, with the same set of leaf encodings.
   ancestor's child toward this leaf onto its child toward the best leaf,
   whose subtree was explored before.  Every encoding under the first
   child has been seen, so the search returns straight to the ancestor.
+* Twin seeding: twins u, v are vertices whose transposition maps the
+  facet set onto itself.  It keeps every root label, so twins share a
+  cell of the root partition, and twin-ness is an equivalence, as
+  (v w)(u v)(v w) = (u w).  Each cell's vertices are walked in sorted
+  order, and each is tested against the last member of every class
+  found so far with the same closed or open neighbourhood; the test
+  maps every facet that the transposition moves, which verifies the
+  automorphism.  The root starts with the transpositions of each
+  class's consecutive members.  A node's first child individualizes
+  the least vertex of its target cell, which leaves the rest of such a
+  chain joined, where a star from the least member would lose every
+  generator.  The seeds are true automorphisms, so they too skip only
+  subtrees whose encodings are seen elsewhere: on a simplex's boundary
+  the search is one path.
 
 The search is a loop over `path`, the inner nodes of the current branch,
 one per depth, so no call frame is taken per level.  Each node keeps
-`fixing`, and the invariant is that it holds exactly the automorphisms
-found so far that fix the node's prefix pointwise.  The child for v
-takes those of its parent's that fix v.  An automorphism found at a leaf
-is appended to every node left on the path after the back-jump, since
-each of their prefixes is part of the prefix the two leaves share; it is
-stored as the map of the vertices it moves.
+`fixing`, and the invariant is that it holds exactly the twin
+transpositions and the automorphisms found so far that fix the node's
+prefix pointwise.  The child for v takes those of its parent's that fix
+v.  An automorphism found at a leaf is appended to every node left on
+the path after the back-jump, since each of their prefixes is part of
+the prefix the two leaves share; it is stored as the map of the
+vertices it moves.
 
 Only subtrees whose encodings were already seen are skipped, so the
 minimal encoding, and with it every certificate byte, is unchanged.
@@ -116,6 +131,44 @@ def _join(orbits, auto):
             orbits[_orbit(orbits, u)] = _orbit(orbits, w)
 
 
+def _twins(facets, incidence, cells):
+    """The twin transpositions to seed the search with, as maps of the
+    two vertices they swap: for each class of twins in a cell of the
+    root partition, the chain of its consecutive members in sorted order.
+
+    (u v) maps the facet set onto itself iff every facet holding u but
+    not v is a facet with u replaced by v: u and v share a cell, so they
+    lie in equally many facets, and the map of those facets onto the
+    ones holding v but not u is then a bijection.  Twins form classes,
+    as (v w)(u v)(v w) = (u w), so v is tested against the last member
+    of a class found before it.  Only classes that share v's closed
+    neighbourhood (the vertices of the facets through v) or its open
+    one (that set without v) are tried: twins in a common facet have
+    equal closed neighbourhoods, and other twins equal open ones.  So
+    the one cell of a long cycle, which has no twins, takes a linear
+    number of tests, not a quadratic one.
+    """
+    present, seeds = set(facets), []
+    for members in cells.values():
+        classes = {}  # a closed or open neighbourhood: the classes with it
+        for v in sorted(members):
+            near = frozenset().union(*[facets[i] for i in incidence[v]])
+            keys = near, near - {v}
+            for twins in classes.get(keys[0], []) + classes.get(keys[1], []):
+                u = twins[-1]
+                if all(v in facets[i]
+                       or tuple(sorted([v if w == u else w for w in facets[i]])) in present
+                       for i in incidence[u]):
+                    seeds.append({u: v, v: u})
+                    twins.append(v)
+                    break
+            else:
+                twins = [v]
+                for key in keys:
+                    classes.setdefault(key, []).append(twins)
+    return seeds
+
+
 def certificate(fc: FacetComplex) -> bytes:
     """Canonical byte encoding of a vertex-reduced facet complex."""
     if not fc.facets:
@@ -131,7 +184,7 @@ def certificate(fc: FacetComplex) -> bytes:
     cells = {n - 1: list(range(n))} if n > 1 else {}
     _refine(facets, incidence, labels, cells, prints, range(n))
     best, path = None, []  # the minimal encoding; one inner node per depth
-    node = labels, cells, prints, (), []
+    node = labels, cells, prints, (), _twins(facets, incidence, cells)
     while node is not None:
         labels, cells, prints, prefix, fixing = node
         if cells:

@@ -125,6 +125,7 @@ def classify_composition(c: CircularComposition) -> dict:
     docstring)."""
     nv, key, facets = len(vertex_set(c)), type_key(c), facet_count(c)
     cyclic = _reference("cyclic", c.d, nv)
+    cyclic_facets = facets if c.arcs == cyclic.arcs else facet_count(cyclic)
     return {
         "vertices": nv,
         "facets": facets,
@@ -132,5 +133,5 @@ def classify_composition(c: CircularComposition) -> dict:
         "cross": is_cross_polytope(c),
         "stacked_family": c.d >= 3 and key == type_key(_reference("stacked", c.d, nv)),
         "cyclic": key == type_key(cyclic),
-        "neighbourly": c.d < 2 or facets == facet_count(cyclic),
+        "neighbourly": c.d < 2 or facets == cyclic_facets,
     }

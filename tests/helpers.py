@@ -223,11 +223,12 @@ def certificate_literal(fc) -> bytes:
     return f"{n}:{fc.d}:{body}".encode("ascii")
 
 
-def certificate_recursive(fc) -> bytes:
+def certificate_recursive(fc, seeds=()) -> bytes:
     """The back-jumping certificate search as one recursive closure with a
     global automorphism list, rescanned at every node against its prefix
     and merged over all n vertices: the oracle for the iterative search,
-    node for node."""
+    node for node.  The list starts with `seeds`, automorphisms of the
+    vertex-reduced complex given as maps of the vertices they move."""
     if not fc.facets:
         raise DegenerateComplexError("empty facet complex has no certificate")
     fc = fc.restrict_to_vertices()
@@ -238,7 +239,7 @@ def certificate_recursive(fc) -> bytes:
         for v in f:
             incidence[v].append(i)
     best = [None, None, None]  # minimal encoding, its leaf's labels and prefix
-    automorphisms = []
+    automorphisms = [[auto.get(v, v) for v in range(n)] for auto in seeds]
 
     def orbit_root(parent, v):
         while parent[v] != v:

@@ -120,6 +120,24 @@ def test_classify_output_shape():
     }
 
 
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 7), (4, 9), (5, 12)])
+def test_classify_counts_the_facets_of_its_own_cyclic_reference_once(monkeypatch, d, n):
+    # the single arc (n,) is its own cyclic reference, so `facets` and
+    # the neighbourliness comparison share one facet count
+    from veronese import classify
+
+    count, calls = classify.facet_count, []
+
+    def counting_facet_count(c):
+        calls.append(c)
+        return count(c)
+
+    monkeypatch.setattr(classify, "facet_count", counting_facet_count)
+    flags = classify_composition(CircularComposition(d, (n,)))
+    assert flags["cyclic"] and flags["neighbourly"]
+    assert len(calls) == 1
+
+
 def test_classify_flags_match_the_recognizers():
     from veronese.canonical import _type_candidates
 

@@ -155,9 +155,24 @@ def test_certificate_matches_literal_on_symmetric_complexes():
                 == expected, name
 
 
+def _recorded_seeds(monkeypatch):
+    """A list that holds, after each `certificate` call, the twin
+    transpositions its search was seeded with."""
+    twins, seeds = canonical._twins, []
+
+    def recording_twins(*args):
+        found = twins(*args)
+        seeds[:] = found
+        return found
+
+    monkeypatch.setattr(canonical, "_twins", recording_twins)
+    return seeds
+
+
 def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
     # one refinement per search node: equal counts on every complex mean
-    # that the pruning skipped the same subtrees
+    # that the pruning skipped the same subtrees, given the same seeds;
+    # seeding never adds a node
     refine, calls = canonical._refine, {}
 
     def counted(name):
@@ -168,12 +183,63 @@ def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
 
     monkeypatch.setattr(canonical, "_refine", counted("iterative"))
     monkeypatch.setattr(helpers, "_refine", counted("recursive"))
+    seeds = _recorded_seeds(monkeypatch)
     complexes = list(_symmetric_complexes()) + [
         (c, enumerate_facets_circular(c)) for c in _type_candidates(6, 10)]
     for name, fc in complexes:
         calls.update(iterative=0, recursive=0)
-        assert certificate(fc) == certificate_recursive(fc), name
+        assert certificate(fc) == certificate_recursive(fc, seeds), name
         assert calls["iterative"] == calls["recursive"] > 0, name
+        calls["recursive"] = 0
+        certificate_recursive(fc, seeds=())
+        assert calls["iterative"] <= calls["recursive"], name
+
+
+def test_twin_seeds_are_the_automorphic_transpositions(monkeypatch):
+    # every seed swaps two vertices and maps each facet to a facet, and
+    # the classes its chains join hold exactly the pairs whose
+    # transposition does, found by mapping every facet for every pair
+    seeds = _recorded_seeds(monkeypatch)
+    complexes = [fc for _, fc in _symmetric_complexes()] + [
+        enumerate_facets_circular(c) for d in range(1, 7)
+        for n in range(d + 1, d + 6) for c in _type_candidates(d, n)]
+    for fc in complexes:
+        certificate(fc)
+        fc = fc.restrict_to_vertices()
+
+        def automorphic(auto):
+            return {tuple(sorted(auto.get(v, v) for v in f)) for f in fc.facets} \
+                == set(fc.facets)
+
+        assert all(len(auto) == 2 and automorphic(auto) for auto in seeds), fc
+        root = list(range(fc.n_labels))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for u, v in seeds:
+            root[find(u)] = find(v)
+        pairs = list(combinations(range(fc.n_labels), 2))
+        assert {(u, v) for u, v in pairs if find(u) == find(v)} \
+            == {(u, v) for u, v in pairs if automorphic({u: v, v: u})}, fc
+
+
+@pytest.mark.parametrize("d", [11, 40])
+def test_simplex_boundary_search_is_one_path(monkeypatch, d):
+    # every pair of the d+1 vertices is a twin pair, so the seeded root
+    # has one orbit: one refinement at the root and one per level
+    refine, calls = canonical._refine, []
+
+    def counting_refine(*args):
+        calls.append(None)
+        refine(*args)
+
+    monkeypatch.setattr(canonical, "_refine", counting_refine)
+    fc = FacetComplex(d + 1, d, tuple(combinations(range(d + 1), d)))
+    certificate(fc)
+    assert len(calls) == fc.n_labels
 
 
 def test_certificate_search_depth_is_bounded():
