@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every subcommand reads inline arguments (rationals accept ``p/q`` or
-integers), writes machine-readable output to stdout and structured
-errors to stderr.  Exit codes: 0 success, 2 invalid input, 3 internal
+Every subcommand reads inline arguments (rationals accept ``p/q``,
+integers or decimals, not exponents), writes machine-readable output to
+stdout and structured errors to stderr.  Exit codes: 0 success, 2 invalid input, 3 internal
 cross-check failure.
 
 The global ``--check`` acts on four commands: ``facets``, ``vertices``

@@ -3,7 +3,16 @@
 Scalars are ``fractions.Fraction`` throughout (arbitrary precision,
 always stored reduced, denominator positive), so equality is structural
 and arithmetic never rounds.  ``rat``/``rat_str`` fix the "p/q" wire
-format used in all JSON payloads.
+format used in all JSON payloads.  ``rat`` refuses exponents ("1e5"):
+Fraction would compute 10**exp in full, unbounded work for a short
+string.
+
+The kernel's loops run on ints, scaled by positive factors so that no
+value or sign changes.  ``sign_det`` clears each row's denominators.
+``is_power_of_linear_form`` scales c_j = xi_j / C(d,j) by their common
+denominator D > 0 and compares the 2 x 2 minors of the integers D c_j,
+which are D^2 times the rational ones.  ``geometry.q_eval`` evaluates
+L b^d q(a/b) as an integer and divides by L b^d > 0 once.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ Rational = Fraction
 
 
 def rat(value) -> Fraction:
-    """Parse a rational from an int, Fraction or a "p/q" / "p" string."""
+    """Parse a rational from an int, Fraction or a "p/q", "p" or decimal
+    string; a string with an exponent is refused."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -26,6 +36,9 @@ def rat(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
+        if "e" in text or "E" in text:
+            raise InvalidChartError(
+                f"cannot parse rational {value!r}: exponents are refused")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
@@ -123,7 +136,9 @@ def is_power_of_linear_form(xi, d: int) -> bool:
         )
     if all(x == 0 for x in coords):
         raise InvalidChartError("all-zero chart")
-    c = [coords[j] / comb(d, j) for j in range(d + 1)]
+    dens = [x.denominator * comb(d, j) for j, x in enumerate(coords)]
+    scale = lcm(*dens)
+    c = [x.numerator * (scale // den) for x, den in zip(coords, dens)]
     for i in range(d):
         for j in range(i + 1, d):
             if c[i] * c[j + 1] != c[j] * c[i + 1]:

@@ -9,6 +9,15 @@ determinants of curve-point matrices; both tests live here and share no
 code beyond rational arithmetic.  ``cross_check`` runs them beside the
 two line characterizations of ``facets``.
 
+``q_eval`` works in integers.  With L the lcm of the chart's
+denominators, C_i = L xi_i (kept on the chart) and t = a/b, b > 0, it
+computes Q = sum_i C_i a^i b^(d-i) by homogeneous Horner and returns
+Fraction(Q, L b^d).  That is q(t), since L b^d q(t) = Q, made with one
+normalization instead of the 2d of Horner's rule in Fractions; and as
+L b^d > 0, Q has the sign of q(t).  ``chart_from_decomposition``
+likewise expands prod (v t - u) over the gap midpoints u/v in integers
+and divides by prod v once.
+
 The lambda test evaluates its instance once per call: it takes sign q(t)
 once per parameter t of T; for t outside S the definition
 lambda_S(t) = prod_{s in S}(t - s) / q(t) gives
@@ -32,9 +41,9 @@ chart and the ground set), chi lazily, so a cached instance holds at
 most one entry per (d+1)-subset of T, and a full scan of the d-subsets
 makes at most C(n, d+1) determinant evaluations instead of
 C(n, d) (n - d).  The determinant test stays independent of the lambda
-test: it computes q through its own integer rows, never through the
-sign table, and decides each subset by determinants, with no closed
-form.
+test: it computes q through its own integer rows, never through
+``q_eval`` or the sign table, and decides each subset by determinants,
+with no closed form.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, groupby
 from math import lcm
 
@@ -59,17 +68,6 @@ from .exact import sign, sign_det
 from .facets import FacetComplex, enumerate_facets_line, s123_decompose
 
 
-def _hash_once(obj, fields) -> int:
-    """hash(fields), computed on the first call and kept on obj: hashing
-    a tuple of Fractions rehashes every Fraction, and the determinant
-    memo hashes its instance on every call."""
-    h = obj.__dict__.get("_hash")
-    if h is None:
-        h = hash(fields)
-        object.__setattr__(obj, "_hash", h)
-    return h
-
-
 @dataclass(frozen=True)
 class GroundSet:
     """Strictly increasing finite parameter set T."""
@@ -77,13 +75,21 @@ class GroundSet:
     params: tuple
 
     def __post_init__(self):
-        ts = tuple(Fraction(t) for t in self.params)
+        ts = tuple(t if type(t) is Fraction else Fraction(t) for t in self.params)
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise InvalidInstanceError("parameters must be strictly increasing")
         object.__setattr__(self, "params", ts)
 
+    # Hashing a tuple of Fractions rehashes every Fraction, and the
+    # determinant memo hashes its instance on every call, so the hash is
+    # kept.  cached_property writes the instance __dict__ directly,
+    # which a frozen dataclass allows.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.params,))
+
     def __hash__(self):
-        return _hash_once(self, (self.params,))
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -97,13 +103,24 @@ class Chart:
     coords: tuple
 
     def __post_init__(self):
-        cs = tuple(Fraction(x) for x in self.coords)
+        cs = tuple(x if type(x) is Fraction else Fraction(x) for x in self.coords)
         if not cs or all(x == 0 for x in cs):
             raise InvalidChartError("chart must be nonzero")
         object.__setattr__(self, "coords", cs)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.coords,))
+
     def __hash__(self):
-        return _hash_once(self, (self.coords,))
+        return self._hash
+
+    @cached_property
+    def integer_form(self) -> tuple:
+        """(L, (C_0, ..., C_d)): L the lcm of the denominators and
+        C_i = L xi_i, the integer coefficients of L q."""
+        scale = lcm(*(c.denominator for c in self.coords))
+        return scale, tuple(c.numerator * (scale // c.denominator) for c in self.coords)
 
     @property
     def d(self) -> int:
@@ -142,11 +159,17 @@ class SignedDecomposition:
 
 
 def q_eval(xi: Chart, t) -> Fraction:
-    t = Fraction(t)
-    acc = Fraction(0)
-    for c in reversed(xi.coords):
-        acc = acc * t + c
-    return acc
+    """q(t) from Q(a, b) = sum_i C_i a^i b^(d-i) at t = a/b (see the
+    module docstring): acc = C_d, then acc = acc a + C_i b^(d-i)."""
+    t = t if type(t) is Fraction else Fraction(t)
+    a, b = t.numerator, t.denominator
+    scale, coeffs = xi.integer_form
+    acc = coeffs[-1]
+    power = 1  # b^(d-i)
+    for c in coeffs[-2::-1]:
+        power *= b
+        acc = acc * a + c * power
+    return Fraction(acc, scale * power)
 
 
 def curve_point(xi: Chart, t) -> tuple:
@@ -325,18 +348,21 @@ def chart_from_decomposition(dec: SignedDecomposition, t_set: GroundSet) -> Char
         raise InvalidDecompositionError(
             f"decomposition covers {dec.n} points, ground set has {t_set.n}"
         )
-    roots = []
+    # q(t) = prod(t - u/v) = prod(v t - u) / prod v over the midpoints
+    # u/v, expanded in integers one root at a time: with
+    # p(t) = sum p_i t^i, (v t - u) p(t) has coefficients v p_{i-1} - u p_i
+    ints = [1] + [0] * dec.d
+    den = 1
     pos = 0
-    for size in dec.sizes[:-1]:
+    for k, size in enumerate(dec.sizes[:-1], 1):
         pos += size
-        roots.append((t_set.params[pos - 1] + t_set.params[pos]) / 2)
-    # q(t) = prod(t - root), expanded one root at a time: with
-    # p(t) = sum p_i t^i, (t - r) p(t) has coefficients p_{i-1} - r p_i
-    coeffs = [Fraction(1)] + [Fraction(0)] * dec.d
-    for k, root in enumerate(roots, 1):
+        mid = (t_set.params[pos - 1] + t_set.params[pos]) / 2
+        u, v = mid.numerator, mid.denominator
         for i in range(k, 0, -1):
-            coeffs[i] = coeffs[i - 1] - root * coeffs[i]
-        coeffs[0] = -root * coeffs[0]
+            ints[i] = v * ints[i - 1] - u * ints[i]
+        ints[0] = -u * ints[0]
+        den *= v
+    coeffs = [Fraction(p, den) for p in ints]
     xi = Chart(tuple(coeffs))
     if sign(q_eval(xi, t_set.params[0])) != dec.first_sign:
         xi = Chart(tuple(-c for c in coeffs))

@@ -8,6 +8,9 @@ is the search that the iterative certificate replaced, kept on the
 library's refinement so that the two can be compared node for node.
 classify_literal is the certificate-based classification that the
 arc-based one replaced, kept on the library's facets and certificates.
+q_eval_literal, chart_from_decomposition_literal and
+is_power_of_linear_form_literal are the Fraction evaluations that the
+integer ones replaced.
 """
 
 from fractions import Fraction
@@ -16,11 +19,14 @@ from itertools import accumulate, combinations, permutations
 from math import comb, prod
 
 from veronese import (
+    Chart,
     CircularComposition,
     DegenerateComplexError,
     DimensionMismatchError,
     FacetComplex,
     GroundSet,
+    InvalidChartError,
+    InvalidDecompositionError,
     InvalidInstanceError,
     SignedDecomposition,
     UnderdeterminedInstanceError,
@@ -37,6 +43,17 @@ from veronese import (
 from veronese.canonical import _refine
 from veronese.classify import _neighbourly
 from veronese.exact import sign
+
+
+def outcome(f, *args):
+    """("returned", type, value) of f(*args), or ("raised", type,
+    message) of its exception: two functions agree on args when their
+    outcomes are equal."""
+    try:
+        value = f(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", type(value), value
 
 
 def random_ground_set(rng, n, span=30, max_den=8):
@@ -340,6 +357,57 @@ def certificate_unpruned(fc) -> bytes:
     search(refine_literal(facets, [0] * n))
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
+
+
+def q_eval_literal(xi, t) -> Fraction:
+    """Horner's rule in Fractions."""
+    t = Fraction(t)
+    acc = Fraction(0)
+    for c in reversed(xi.coords):
+        acc = acc * t + c
+    return acc
+
+
+def chart_from_decomposition_literal(dec, t_set):
+    """The chart with one root at each gap midpoint, expanded in
+    Fractions; the sign is taken with q_eval_literal."""
+    if dec.n != t_set.n:
+        raise InvalidDecompositionError(
+            f"decomposition covers {dec.n} points, ground set has {t_set.n}"
+        )
+    roots = []
+    pos = 0
+    for size in dec.sizes[:-1]:
+        pos += size
+        roots.append((t_set.params[pos - 1] + t_set.params[pos]) / 2)
+    # q(t) = prod(t - root), expanded one root at a time: with
+    # p(t) = sum p_i t^i, (t - r) p(t) has coefficients p_{i-1} - r p_i
+    coeffs = [Fraction(1)] + [Fraction(0)] * dec.d
+    for k, root in enumerate(roots, 1):
+        for i in range(k, 0, -1):
+            coeffs[i] = coeffs[i - 1] - root * coeffs[i]
+        coeffs[0] = -root * coeffs[0]
+    xi = Chart(tuple(coeffs))
+    if sign(q_eval_literal(xi, t_set.params[0])) != dec.first_sign:
+        xi = Chart(tuple(-c for c in coeffs))
+    return xi
+
+
+def is_power_of_linear_form_literal(xi, d: int) -> bool:
+    """The 2 x 2 minors of c_j = xi_j / C(d,j), in Fractions."""
+    coords = [Fraction(x) for x in xi]
+    if len(coords) != d + 1:
+        raise DimensionMismatchError(
+            f"chart has {len(coords)} entries, expected {d + 1}"
+        )
+    if all(x == 0 for x in coords):
+        raise InvalidChartError("all-zero chart")
+    c = [coords[j] / comb(d, j) for j in range(d + 1)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            if c[i] * c[j + 1] != c[j] * c[i + 1]:
+                return False
+    return True
 
 
 def _check_instance_literal(xi, t_set):

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from veronese import CircularComposition, FacetComplex, cli, enumerate_facets_circular
+from veronese import (CircularComposition, FacetComplex, cli, enumerate_facets_circular,
+                      geometry, q_eval)
 from veronese.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -203,6 +204,10 @@ def _no_facets(*args):
      lambda xi, t_set, s_values: False),
     (EXAMPLE, "veronese.geometry.enumerate_facets_line", _no_facets),
     (EXAMPLE, "veronese.geometry.s123_decompose", lambda dec, positions: None),
+    # q's sign flipped at the interior parameter 2 of EXAMPLE: the lambda
+    # and line tests read the wrong signs, the determinant test its own rows
+    (EXAMPLE, "veronese.geometry.q_eval",
+     lambda xi, t: -q_eval(xi, t) if t == 2 else q_eval(xi, t)),
     # the composition is cross-checked on realize(c)
     (["vertices", "--d", "4", "--arcs", "3,4"], "veronese.geometry.s123_decompose",
      lambda dec, positions: None),
@@ -212,9 +217,11 @@ def _no_facets(*args):
      _no_facets),
     (["vertices", "--d", "4", "--arcs", "1,1,1,7"], "veronese.cli.vertex_set",
      lambda c: (0, 1, 2)),
-], ids=["lambda", "determinant", "sigma_pa", "s123", "vertices-arcs", "count",
+], ids=["lambda", "determinant", "sigma_pa", "s123", "q_eval", "vertices-arcs", "count",
         "facets-printed", "vertices-printed"])
 def test_cross_check_failure_exit_3(capsys, monkeypatch, argv, target, broken):
+    # rows memoized by an earlier run of the instance would not see the patch
+    geometry._determinant_memo.cache_clear()
     monkeypatch.setattr(target, broken)
     code, out, err = run(capsys, argv + ["--check"])
     assert code == 3 and out == ""

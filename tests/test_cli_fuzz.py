@@ -14,7 +14,7 @@ from veronese.exact import rat_str
 
 from helpers import random_composition, random_decomposition, random_ground_set
 
-JUNK = st.sampled_from(["", "x", "1/0", "1.5", "--", "0", "-1", "3..1", "1,,2"])
+JUNK = st.sampled_from(["", "x", "1/0", "1.5", "--", "0", "-1", "3..1", "1,,2", "1e5"])
 
 
 def _joined(values):

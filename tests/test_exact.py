@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,8 @@ from veronese import (
     rat_str,
     sign_det,
 )
+
+from helpers import is_power_of_linear_form_literal, outcome
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -30,6 +33,12 @@ def test_rat_parsing():
         rat("abc")
     with pytest.raises(InvalidChartError):
         rat(None)
+    assert rat("1.5") == Fraction(3, 2)
+    assert rat(" -0.25 ") == Fraction(-1, 4)
+    # Fraction would compute 10**exp in full
+    for text in ("1e5", "2E-3", "1.5e1", "-1e400"):
+        with pytest.raises(InvalidChartError, match="exponent"):
+            rat(text)
 
 
 @given(rationals)
@@ -179,3 +188,36 @@ def test_is_power_scaling_invariance(d, a, c):
     scaled = tuple(c * x for x in xi)
     assert is_power_of_linear_form(xi, d)
     assert is_power_of_linear_form(scaled, d)
+
+
+def _random_form(rng, d):
+    """Coefficients of a power of a linear form, perhaps with one entry
+    changed, or random ones, as ints, Fractions or strings."""
+    def value():
+        den = rng.choice([1, 3, 10 ** 12])
+        return Fraction(rng.randint(-5 * den, 5 * den), den) if rng.random() < 0.8 else Fraction(0)
+
+    if rng.random() < 0.5:
+        a, b, scale = value(), value(), value()
+        xi = [scale * comb(d, j) * a ** j * b ** (d - j) for j in range(d + 1)]
+        if rng.random() < 0.3:
+            xi[rng.randrange(d + 1)] += value()
+    else:
+        xi = [value() for _ in range(d + 1)]
+    if rng.random() < 0.1:
+        xi = xi[:-1] if rng.random() < 0.5 else xi + [value()]
+    form = rng.choice([Fraction, str, lambda x: int(x) if x.denominator == 1 else x])
+    return [form(x) for x in xi]
+
+
+def test_is_power_matches_literal_oracle():
+    rng = random.Random(913)
+    answers = set()
+    for _ in range(4000):
+        d = rng.randint(0, 12)
+        xi = _random_form(rng, d)
+        got = outcome(is_power_of_linear_form, xi, d)
+        assert got == outcome(is_power_of_linear_form_literal, xi, d), (xi, d)
+        answers.add(got[2] if got[0] == "returned" else got[1])
+    # both answers and both input errors occurred
+    assert answers == {True, False, InvalidChartError, DimensionMismatchError}

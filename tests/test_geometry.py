@@ -29,8 +29,11 @@ from veronese import (
 )
 
 from helpers import (
+    chart_from_decomposition_literal,
     facet_test_determinant_literal,
     facet_test_lambda_literal,
+    outcome,
+    q_eval_literal,
     random_decomposition,
     random_ground_set,
 )
@@ -57,6 +60,48 @@ def test_q_eval():
     assert q_eval(Chart((1, 0, 0, 0, 0)), 7) == 1
     assert q_eval(XI_EXAMPLE, -3) == 3
     assert q_eval(Chart((-1, 0, 1)), 2) == 3
+
+
+def _random_rational(rng):
+    """Zero, an integer, a small fraction or one with a large denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-20, 20))
+    den = rng.randint(1, 7) if kind == 2 else rng.randint(10 ** 9, 10 ** 15)
+    return Fraction(rng.randint(-20 * den, 20 * den), den)
+
+
+def test_q_eval_matches_literal_oracle():
+    rng = random.Random(911)
+    for _ in range(3000):
+        d = rng.randint(0, 12)
+        roots = [_random_rational(rng) for _ in range(rng.randint(0, d))]
+        xi = _random_chart(rng, d, roots)
+        if rng.random() < 0.3:
+            xi = Chart(tuple(_random_rational(rng) for _ in range(d))
+                       + (rng.randint(1, 9),))
+        # a root hit exactly, a parameter, an int or a string
+        t = rng.choice([*roots, _random_rational(rng)])
+        for point in (t, int(t), str(t)):
+            got = outcome(q_eval, xi, point)
+            assert got == outcome(q_eval_literal, xi, point), (xi, point)
+            assert got[1] is Fraction
+    assert q_eval(Chart((Fraction(-3, 7),)), Fraction(5, 11)) == Fraction(-3, 7)
+    assert q_eval(Chart((1, 0, -1)), 1) == 0
+    assert outcome(q_eval, XI_EXAMPLE, "x") == outcome(q_eval_literal, XI_EXAMPLE, "x")
+
+
+def test_chart_from_decomposition_matches_literal_oracle():
+    rng = random.Random(912)
+    for _ in range(1500):
+        d = rng.randint(0, 12)
+        n = rng.randint(1, 16)
+        t_set = random_ground_set(rng, n, max_den=rng.choice([1, 8, 10 ** 12]))
+        dec = random_decomposition(rng, d, rng.choice([n, n, n, n + 1]))
+        got = outcome(chart_from_decomposition, dec, t_set)
+        assert got == outcome(chart_from_decomposition_literal, dec, t_set), (dec, t_set)
 
 
 def test_curve_point():
