@@ -8,7 +8,9 @@ Fraction would compute 10**exp in full, unbounded work for a short
 string.
 
 The kernel's loops run on ints, scaled by positive factors so that no
-value or sign changes.  ``sign_det`` clears each row's denominators.
+value or sign changes.  ``sign_det`` clears each row's denominators and
+runs ``bareiss_step``, one fraction-free elimination step, to the end;
+``geometry`` shares those steps between the determinants of an instance.
 ``is_power_of_linear_form`` scales c_j = xi_j / C(d,j) by their common
 denominator D > 0 and compares the 2 x 2 minors of the integers D c_j,
 which are D^2 times the rational ones.  ``geometry.q_eval`` evaluates
@@ -77,6 +79,20 @@ def _integer_rows(rows):
     return out
 
 
+def bareiss_step(rows, pivot_row, k: int, prev: int) -> None:
+    """One step of Bareiss fraction-free elimination, in place: entry j > k
+    of each row becomes (row[j] pivot_row[k] - row[k] pivot_row[j]) / prev,
+    with prev the previous step's pivot (1 at the first step).  By
+    Sylvester's identity the quotient is exact: it is the minor of the
+    step's k + 1 pivot rows and the row on columns 0..k and j.  Columns up
+    to k are not written and are not read again."""
+    pivot = pivot_row[k]
+    for row in rows:
+        head = row[k]
+        for j in range(k + 1, len(row)):
+            row[j] = (row[j] * pivot - head * pivot_row[j]) // prev
+
+
 def sign_det(rows) -> int:
     """Exact sign of det(rows) via Bareiss fraction-free elimination.
 
@@ -99,13 +115,8 @@ def sign_det(rows) -> int:
                     break
             else:
                 return 0
-        # columns left of k are never read again, so they are not cleared
-        pivot_row, pivot = m[k], m[k][k]
-        for row in m[k + 1:]:
-            head = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - head * pivot_row[j]) // prev
-        prev = pivot
+        bareiss_step(m[k + 1:], m[k], k, prev)
+        prev = m[k][k]
     return flip * sign(m[n - 1][n - 1])
 
 

@@ -24,7 +24,9 @@ lambda_S(t) = prod_{s in S}(t - s) / q(t) gives
 
     sign lambda_S(t) = sign q(t) * (-1)^#{s in S : s > t},
 
-so a subset costs only comparisons.  The determinant test builds each
+so a subset costs one pass over T: up to the factor (-1)^|S|, common to
+all t, the sign flips each time t passes a value of S, which is
+O(n + d) comparisons per subset.  The determinant test builds each
 curve point once per instance as an integer row: for t = a/b it takes
 sign(Q) * (b^d, a b^(d-1), ..., a^d) with Q = b^d L q(t) and L the lcm of
 the chart's denominators.  That row is |Q|/L times (1,t,...,t^d)/q(t), a
@@ -37,13 +39,25 @@ s > t, so
 
 with chi(U) = sign det(rows(U)) for a sorted (d+1)-subset U of T.  The
 rows and chi are memoized per instance (a small LRU cache keyed by the
-chart and the ground set), chi lazily, so a cached instance holds at
-most one entry per (d+1)-subset of T, and a full scan of the d-subsets
-makes at most C(n, d+1) determinant evaluations instead of
-C(n, d) (n - d).  The determinant test stays independent of the lambda
-test: it computes q through its own integer rows, never through
-``q_eval`` or the sign table, and decides each subset by determinants,
-with no closed form.
+chart and the ground set), and chi is filled by Bareiss elimination
+shared between subsets.  By Sylvester's identity (Bareiss 1968), after
+the elimination steps that pivot on the rows of a sorted index prefix P,
+the entries of a later row j are the (|P|+1)-minors of the rows of P and
+j, so they depend on P and j alone.  The memo keeps that reduced row,
+R(P + (j,)), once per pair, made lazily: it is one step
+(``exact.bareiss_step``) of R(P[:-1] + (j,)) against the pivot row R(P),
+divided exactly by the previous pivot.  chi(U) is the sign of the one
+entry left in R(U), kept in the same dict under U.  A pivot is a leading
+minor of the rows, a homogeneous Vandermonde determinant up to sign, so
+it is nonzero for distinct parameters; if one is 0 all the same, chi(U)
+falls back to ``sign_det`` on U's rows.  A full scan of the d-subsets
+thus makes at most sum_{k=2..d+1} C(n, k) row steps of at most d
+entries each and no full elimination, where one ``sign_det`` per
+(d+1)-subset took about d^3/3 entry updates.  A single cold call only
+makes the rows its n - d subsets U need, at most d(d+1)/2 steps per U.
+The determinant test stays independent of the lambda test: it computes
+q through its own integer rows, never through ``q_eval`` or the sign
+table, and decides each subset by determinants, with no closed form.
 """
 
 from __future__ import annotations
@@ -64,7 +78,7 @@ from .errors import (
     PointAtInfinityError,
     UnderdeterminedInstanceError,
 )
-from .exact import sign, sign_det
+from .exact import bareiss_step, sign, sign_det
 from .facets import FacetComplex, enumerate_facets_line, s123_decompose
 
 
@@ -207,12 +221,25 @@ def _q_signs(xi: Chart, t_set: GroundSet) -> list:
 def _one_lambda_sign(q_signs, keys, s) -> bool:
     """Whether sign lambda_S(t) = sign q(t) * (-1)^#{v in S : v > t} is
     one sign on T minus S.  keys stand for T's parameters in their order
-    (the parameters or their indices), and s holds S in the same terms."""
-    signs = {
-        q if sum(v > t for v in s) % 2 == 0 else -q
-        for t, q in zip(keys, q_signs) if t not in s
-    }
-    return len(signs) == 1
+    (the parameters or their indices), and s holds S in the same terms.
+    For t outside S, #{v in S : v > t} = |S| - #{v in S : v < t}, so up to
+    the common factor (-1)^|S| the sign is sign q(t) times the parity of
+    the values of S passed so far: one pass over T that flips the parity
+    each time t passes a value of S."""
+    ahead = sorted(s, reverse=True)  # the values of S not passed yet, smallest last
+    flip = 1
+    first = 0
+    for t, q in zip(keys, q_signs):
+        while ahead and ahead[-1] < t:
+            ahead.pop()
+            flip = -flip
+        if ahead and ahead[-1] == t:
+            continue  # t is in S
+        if not first:
+            first = q * flip
+        elif q * flip != first:
+            return False
+    return first != 0
 
 
 def facet_test_lambda(xi: Chart, t_set: GroundSet, s_values) -> bool:
@@ -244,12 +271,48 @@ def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
 @lru_cache(maxsize=8)
 def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
     """((numerator, denominator) of a parameter -> index, T's curve rows,
-    chi) of the instance, where chi maps a sorted index (d+1)-tuple U to
-    sign det(rows(U)) and is filled by facet_test_determinant.  Raises
-    InvalidInstanceError, which lru_cache does not keep, if the chart
-    vanishes on T."""
+    the elimination memo) of the instance.  The memo maps a sorted index
+    tuple K of length at most d to the reduced row R(K) (None if a pivot
+    on the way is 0), and a sorted (d+1)-tuple U to chi(U) =
+    sign det(rows(U)) (see the module docstring); facet_test_determinant
+    fills it.  Raises InvalidInstanceError, which lru_cache does not
+    keep, if the chart vanishes on T."""
     rows = _curve_rows(xi, t_set)
     return {(t.numerator, t.denominator): i for i, t in enumerate(t_set.params)}, rows, {}
+
+
+def _reduced(memo: dict, rows, key: tuple):
+    """R(key): row key[-1] after the Bareiss steps that pivot on the rows
+    key[:-1] in order, valid from column len(key) - 1 on; None if one of
+    those pivots is 0.  The rows it is made from are kept in memo, R(key)
+    itself is not."""
+    if len(key) == 1:
+        return rows[key[0]]
+    k = len(key) - 2
+    pivot_row = _kept(memo, rows, key[:-1])
+    row = _kept(memo, rows, key[:-2] + key[-1:])
+    if pivot_row is None or row is None or pivot_row[k] == 0:
+        return None
+    row = list(row)
+    # both rows were made by the step that pivots on R(key[:-2])
+    bareiss_step((row,), pivot_row, k, memo[key[:-2]][k - 1] if k else 1)
+    return row
+
+
+def _kept(memo: dict, rows, key: tuple):
+    """R(key), made once and kept in memo."""
+    row = memo.get(key)
+    if row is None:
+        row = memo[key] = _reduced(memo, rows, key)
+    return row
+
+
+def _chirotope(memo: dict, rows, u: tuple) -> int:
+    """chi(u) for a sorted (d+1)-tuple u, kept in memo: the sign of the
+    last entry of R(u), or sign_det of u's rows if a pivot is 0."""
+    row = _reduced(memo, rows, u)
+    c = memo[u] = sign(row[-1]) if row is not None else sign_det([rows[i] for i in u])
+    return c
 
 
 def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
@@ -261,7 +324,7 @@ def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
          for f in (v if type(v) is Fraction else Fraction(v) for v in s_values)}
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
-    index, rows, chi = _determinant_memo(xi, t_set)
+    index, rows, memo = _determinant_memo(xi, t_set)
     picked = [index.get(v) for v in s]
     if None in picked:
         # S leaves T: S's rows leave the table, so the rows left are T minus S
@@ -278,9 +341,9 @@ def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
             pos += 1
             continue
         key = (*picked[:pos], j, *picked[pos:])
-        c = chi.get(key)
+        c = memo.get(key)
         if c is None:
-            c = chi[key] = sign_det([rows[i] for i in key])
+            c = _chirotope(memo, rows, key)
         # row j moves past the len(picked) - pos rows of S above it
         c = c if (len(picked) - pos) % 2 == 0 else -c
         if c == 0 or first not in (None, c):

@@ -10,7 +10,9 @@ classify_literal is the certificate-based classification that the
 arc-based one replaced, kept on the library's facets and certificates.
 q_eval_literal, chart_from_decomposition_literal and
 is_power_of_linear_form_literal are the Fraction evaluations that the
-integer ones replaced.
+integer ones replaced.  chirotope_literal and one_lambda_sign_literal are
+the per-subset determinant and the per-parameter count that the shared
+elimination and the one-pass sign sweep of the geometric tests replaced.
 """
 
 from fractions import Fraction
@@ -443,6 +445,21 @@ def facet_test_determinant_literal(xi, t_set, s_values) -> bool:
             continue
         signs.add(sign_det(base + [list(curve_point(xi, t))]))
     return len(signs) == 1 and 0 not in signs
+
+
+def chirotope_literal(rows, u) -> int:
+    """chi(u): one full Bareiss elimination of the rows of u."""
+    return sign_det([rows[i] for i in u])
+
+
+def one_lambda_sign_literal(q_signs, keys, s) -> bool:
+    """Whether sign q(t) * (-1)^#{v in S : v > t} is one sign on T minus
+    S, counting the values of S above each parameter anew."""
+    signs = {
+        q if sum(v > t for v in s) % 2 == 0 else -q
+        for t, q in zip(keys, q_signs) if t not in s
+    }
+    return len(signs) == 1
 
 
 def pair_choices_literal(n, count, blocked, start, chosen, out):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from veronese import (CircularComposition, FacetComplex, cli, enumerate_facets_circular,
-                      geometry, q_eval)
+                      q_eval)
 from veronese.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -220,8 +220,6 @@ def _no_facets(*args):
 ], ids=["lambda", "determinant", "sigma_pa", "s123", "q_eval", "vertices-arcs", "count",
         "facets-printed", "vertices-printed"])
 def test_cross_check_failure_exit_3(capsys, monkeypatch, argv, target, broken):
-    # rows memoized by an earlier run of the instance would not see the patch
-    geometry._determinant_memo.cache_clear()
     monkeypatch.setattr(target, broken)
     code, out, err = run(capsys, argv + ["--check"])
     assert code == 3 and out == ""

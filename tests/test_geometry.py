@@ -30,8 +30,10 @@ from veronese import (
 
 from helpers import (
     chart_from_decomposition_literal,
+    chirotope_literal,
     facet_test_determinant_literal,
     facet_test_lambda_literal,
+    one_lambda_sign_literal,
     outcome,
     q_eval_literal,
     random_decomposition,
@@ -346,7 +348,6 @@ def _determinant_scan(xi, t_set, outside):
 
 def test_determinant_memo_matches_literal_oracle():
     rng = random.Random(907)
-    geometry._determinant_memo.cache_clear()
     for _ in range(12):
         d = rng.randint(1, 4)
         n = rng.randint(d + 1, 8)
@@ -368,7 +369,6 @@ def test_determinant_memo_matches_literal_oracle():
 def test_determinant_memo_never_keeps_an_error():
     xi = Chart((-2, 0, 1, 1))  # q(1) = 0
     t_set = GroundSet((-2, 0, 1, 3, 4))
-    geometry._determinant_memo.cache_clear()
     for _ in range(3):
         for s in ((0, 1, 3), (-2, 3, 4), (5, 6, 7)):
             with pytest.raises(InvalidInstanceError):
@@ -382,29 +382,106 @@ def test_determinant_memo_never_keeps_an_error():
         == facet_test_determinant_literal(ok, t_set, (0, 1, 3))
 
 
-def test_determinant_scan_makes_one_determinant_per_chirotope_entry(monkeypatch):
+def test_determinant_scan_shares_its_eliminations(monkeypatch):
     rng = random.Random(908)
     d, n = 6, 10
     t_set = random_ground_set(rng, n)
     xi = chart_from_decomposition(random_decomposition(rng, d, n), t_set)
-    calls = []
-    sign_det = geometry.sign_det
+    determinants, reduced = [], []
+    sign_det, _reduced = geometry.sign_det, geometry._reduced
 
-    def counted(rows):
-        calls.append(1)
+    def counted_det(rows):
+        determinants.append(rows)
         return sign_det(rows)
 
-    monkeypatch.setattr(geometry, "sign_det", counted)
-    geometry._determinant_memo.cache_clear()
+    def counted_reduced(memo, rows, key):
+        if len(key) > 1:
+            reduced.append(key)
+        return _reduced(memo, rows, key)
+
+    monkeypatch.setattr(geometry, "sign_det", counted_det)
+    monkeypatch.setattr(geometry, "_reduced", counted_reduced)
     found = [idxs for idxs in combinations(range(n), d)
              if facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])]
-    scan_calls = len(calls)
-    assert 0 < scan_calls <= comb(n, d + 1) < comb(n, d) * (n - d)
+    assert determinants == []
+    # each (prefix, row) pair, a sorted key of 2 to d+1 indices, is reduced once
+    assert len(set(reduced)) == len(reduced) <= sum(comb(n, k) for k in range(2, d + 2))
     assert tuple(found) == enumerate_facets_geometric(xi, t_set).facets
     # a second scan is answered from the memo
+    memo = geometry._determinant_memo(xi, t_set)[2]
+    entries, scan_reduced = len(memo), len(reduced)
     for idxs in combinations(range(n), d):
         facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])
-    assert len(calls) == scan_calls
+    assert (len(memo), len(reduced)) == (entries, scan_reduced)
+
+
+def _random_instance(rng, d, n):
+    """A ground set and a chart that does not vanish on it, half of them
+    realizing a random signed decomposition."""
+    t_set = random_ground_set(rng, n)
+    if rng.random() < 0.5:
+        return chart_from_decomposition(random_decomposition(rng, d, n), t_set), t_set
+    xi = _random_chart(rng, d, [])
+    while any(q_eval(xi, t) == 0 for t in t_set.params):
+        xi = _random_chart(rng, d, [])
+    return xi, t_set
+
+
+def test_chirotope_memo_matches_literal_oracle():
+    rng = random.Random(909)
+    for case in range(36):
+        d = 1 + case % 6
+        xi, t_set = _random_instance(rng, d, rng.randint(d + 1, 10))
+        n = t_set.n
+        # a scan in random order fills part of the memo; _chirotope the rest
+        subsets = list(combinations(range(n), d))
+        rng.shuffle(subsets)
+        for idxs in subsets:
+            facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])
+        _, rows, memo = geometry._determinant_memo(xi, t_set)
+        for u in combinations(range(n), d + 1):
+            got = memo[u] if u in memo else geometry._chirotope(memo, rows, u)
+            assert got == chirotope_literal(rows, u), (xi, t_set, u)
+
+
+def test_chirotope_falls_back_to_sign_det_on_a_zero_pivot(monkeypatch):
+    # row 0 has a zero leading entry, rows 1 and 2 a zero leading 2 x 2
+    # minor, and row 5 is twice row 1
+    rows = [[0, 1, 5], [1, 2, 3], [2, 4, 7], [3, 1, 1], [1, 0, 1], [2, 4, 6]]
+    determinants = []
+    sign_det = geometry.sign_det
+
+    def counted(matrix):
+        determinants.append(1)
+        return sign_det(matrix)
+
+    monkeypatch.setattr(geometry, "sign_det", counted)
+    memo, zero_pivots, signs = {}, 0, set()
+    for u in combinations(range(len(rows)), 3):
+        got = geometry._chirotope(memo, rows, u)
+        assert got == memo[u] == sign_det([rows[i] for i in u]), u
+        signs.add(got)
+        zero_pivots += any(sign_det([rows[i][:k] for i in u[:k]]) == 0 for k in (1, 2))
+    assert 0 < zero_pivots == len(determinants) < comb(len(rows), 3)
+    assert signs == {-1, 0, 1}
+
+
+def test_lambda_sweep_matches_literal_oracle():
+    rng = random.Random(911)
+    for case in range(70):
+        d = case % 7
+        n = rng.randint(max(d, 1), 10)  # n = d leaves T minus S empty
+        params = random_ground_set(rng, n).params
+        q_signs = [rng.choice((1, -1)) for _ in range(n)]
+        outside = Fraction(rng.randint(-70, 70), rng.randint(1, 9))
+        while outside in params:
+            outside = Fraction(rng.randint(-70, 70), rng.randint(1, 9))
+        for idxs in combinations(range(n), d):
+            values = {params[i] for i in idxs}
+            for keys, s in ((range(n), idxs), (params, values),
+                            (params, values - {params[idxs[0]]} | {outside} if d else values)):
+                assert geometry._one_lambda_sign(q_signs, keys, s) \
+                    == one_lambda_sign_literal(q_signs, keys, s), (q_signs, keys, s)
 
 
 def test_chart_coefficients_are_signed_elementary_symmetric_sums():
