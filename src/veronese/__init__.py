@@ -43,7 +43,6 @@ from .errors import (
     UnderdeterminedInstanceError,
 )
 from .exact import (
-    elementary_symmetric,
     is_power_of_linear_form,
     rat,
     rat_str,
@@ -67,7 +66,6 @@ from .geometry import (
     enumerate_facets_geometric,
     facet_test_determinant,
     facet_test_lambda,
-    lambda_eval,
     q_eval,
     vertices_geometric,
 )

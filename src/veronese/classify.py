@@ -44,7 +44,7 @@ from .circular import (
     vertex_set,
 )
 from .errors import DomainError
-from .facets import FacetComplex, _parity_keys
+from .facets import FacetComplex
 from .geometry import SignedDecomposition
 
 
@@ -66,7 +66,7 @@ def type_key(c: CircularComposition) -> tuple:
     if nv == d + 1:
         return (nv,)
     if nv == d + 2:
-        a = _parity_keys(SignedDecomposition(arcs, 1, d))[1:].count(0)
+        a = SignedDecomposition(arcs, 1, d).line_tables.key[1:].count(0)
         return (nv, min(a, nv - a))
     if c.l < d:
         return (nv, "arcs", dihedral_min(arcs))

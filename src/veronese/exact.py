@@ -5,7 +5,9 @@ always stored reduced, denominator positive), so equality is structural
 and arithmetic never rounds.  ``rat``/``rat_str`` fix the "p/q" wire
 format used in all JSON payloads.  ``rat`` refuses exponents ("1e5"):
 Fraction would compute 10**exp in full, unbounded work for a short
-string.
+string.  Plain ASCII "p" and "p/q" strings are split by one regular
+expression and built from two ints; every other string goes to
+Fraction's own parser, so both paths accept and refuse alike.
 
 The kernel's loops run on ints, scaled by positive factors so that no
 value or sign changes.  ``sign_det`` clears each row's denominators and
@@ -19,12 +21,13 @@ L b^d q(a/b) as an integer and divides by L b^d > 0 once.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, lcm
 
 from .errors import DimensionMismatchError, InvalidChartError
 
-Rational = Fraction
+_PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(value) -> Fraction:
@@ -42,7 +45,11 @@ def rat(value) -> Fraction:
             raise InvalidChartError(
                 f"cannot parse rational {value!r}: exponents are refused")
         try:
-            return Fraction(text)
+            plain = _PLAIN.fullmatch(text)
+            if plain is None:
+                return Fraction(text)
+            p, q = plain.groups()
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidChartError(f"cannot parse rational {value!r}") from exc
     raise InvalidChartError(f"cannot parse rational {value!r}")
@@ -118,19 +125,6 @@ def sign_det(rows) -> int:
         bareiss_step(m[k + 1:], m[k], k, prev)
         prev = m[k][k]
     return flip * sign(m[n - 1][n - 1])
-
-
-def elementary_symmetric(values, i: int) -> Fraction:
-    """i-th elementary symmetric polynomial of the values, sigma_0 = 1."""
-    vals = [Fraction(v) for v in values]
-    if not 0 <= i <= len(vals):
-        raise IndexError(f"index {i} out of range for {len(vals)} values")
-    e = [Fraction(0)] * (i + 1)
-    e[0] = Fraction(1)
-    for v in vals:
-        for j in range(min(i, len(e) - 1), 0, -1):
-            e[j] += e[j - 1] * v
-    return e[i]
 
 
 def is_power_of_linear_form(xi, d: int) -> bool:

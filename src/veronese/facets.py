@@ -15,14 +15,20 @@ carry equal signs iff interval[a] and interval[b] have equal parity, and
 they break the alternation rule (equal signs iff equal parities) iff their
 parity keys ``(a + interval[a]) % 2`` and ``(b + interval[b]) % 2`` agree.
 A sequence is sigma-PA iff its keys alternate; the first sign drops out.
+``build_line_tables`` makes the O(n) tables: interval, the parity keys and
+the cut points of the sign changes.  ``SignedDecomposition.line_tables``
+builds them once per decomposition and keeps them, so each d-subset then
+costs O(d log d) in ``s123_decompose`` (sorting S), and a sequence costs
+its length in ``is_sigma_pa``.
 
-The split is found by one left-to-right search over sorted S.  Each
-element is the pick of the next unpicked sign change (one of the two
-points beside it), an endpoint 1 or n, or the first of a pair with the
-next position of its interval.  A branch dies as soon as the scan passes
-both points of the next sign change, so away from positions 1 and n at
-most one role of an element survives its first node; the search visits
-at most 2d+1 nodes (checked on every decomposition with d <= 7, n <= 10).
+The split is found by one left-to-right search over sorted S, on an
+explicit stack.  Each element is the pick of the next unpicked sign
+change (one of the two points beside it), an endpoint 1 or n, or the
+first of a pair with the next position of its interval, tried in that
+order.  A branch dies as soon as the scan passes both points of the next
+sign change, so away from positions 1 and n at most one role of an
+element survives its first node; the search visits at most 2d+1 nodes
+(checked on every decomposition with d <= 7, n <= 10).
 
 Positions are 1-based internally (the parity conditions are stated for
 1-based sequences); everything exported through JSON is 0-based.
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -83,21 +90,27 @@ class FacetComplex:
         )
 
 
-def _intervals(decomposition) -> list:
-    """interval[p] for p = 1..n; entry 0 is unused."""
-    return [None] + [j for j, size in enumerate(decomposition.sizes) for _ in range(size)]
+class LineTables(NamedTuple):
+    """The tables both line tests read, indexed by 1-based position p
+    (entry 0 is unused)."""
+
+    interval: tuple  # interval[p], 0-based
+    key: tuple  # the parity key (p + interval[p]) % 2
+    cut: tuple  # the c-th sign change lies between cut[c] and cut[c] + 1
 
 
-def _parity_keys(decomposition) -> list:
-    interval = _intervals(decomposition)
-    return [None] + [(p + interval[p]) % 2 for p in range(1, len(interval))]
+def build_line_tables(sizes) -> LineTables:
+    """The line tables of a decomposition with these interval sizes."""
+    interval = (None, *(j for j, size in enumerate(sizes) for _ in range(size)))
+    key = (None, *((p + j) % 2 for p, j in enumerate(interval[1:], 1)))
+    return LineTables(interval, key, tuple(accumulate(sizes))[:-1])
 
 
 def is_sigma_pa(decomposition, positions) -> bool:
     """Test the alternation condition for an increasing 1-based sequence:
     consecutive entries carry equal decomposition signs iff their
     positions have different parities."""
-    key = _parity_keys(decomposition)
+    key = decomposition.line_tables.key
     n = len(key) - 1
     seq = list(positions)
     if any(not 1 <= p <= n for p in seq):
@@ -110,7 +123,7 @@ def is_sigma_pa(decomposition, positions) -> bool:
 def enumerate_facets_line(decomposition) -> FacetComplex:
     """All facets of the polytope whose chart induces the decomposition,
     found as complements of alternating sequences of length n-d."""
-    key = _parity_keys(decomposition)
+    key = decomposition.line_tables.key
     d, n = decomposition.d, len(key) - 1
     if n <= d:
         raise UnderdeterminedInstanceError(
@@ -144,7 +157,7 @@ class S123:
 def s123_decompose(decomposition, positions):
     """Decompose a candidate facet S (1-based positions) into the three
     certifying parts, or return None when S is not a facet."""
-    interval = _intervals(decomposition)
+    interval, _, cut = decomposition.line_tables
     d, n = decomposition.d, len(interval) - 1
     positions = list(positions)
     members = set(positions)
@@ -153,23 +166,23 @@ def s123_decompose(decomposition, positions):
         raise DimensionMismatchError(f"expected {d} distinct positions")
     if s and not 1 <= s[0] <= s[-1] <= n:
         raise InvalidIndexError(f"positions out of range 1..{n}")
-    # the c-th sign change (0-based) lies between cut[c] and cut[c] + 1
-    cut = list(accumulate(decomposition.sizes))[:-1]
-
-    def search(i, s1, s2, s3):
+    changes = len(cut)
+    # a node is (i, s1, s2, s3): s[:i] placed; the roles of s[i] are
+    # pushed in reverse, so the pick at the next sign change is tried
+    # first, then an endpoint, then a pair
+    stack = [(0, (), (), ())]
+    while stack:
+        i, s1, s2, s3 = stack.pop()
         c = len(s1)
-        if c < len(cut) and (i == d or s[i] > cut[c] + 1):
-            return None
+        if c < changes and (i == d or s[i] > cut[c] + 1):
+            continue
         if i == d:
             return S123(s1, s2, s3)
         p = s[i]
-        found = None
-        if c < len(cut) and p >= cut[c]:
-            found = search(i + 1, s1 + (p,), s2, s3)
-        if found is None and p in (1, n):
-            found = search(i + 1, s1, s2 + (p,), s3)
-        if found is None and p + 1 in members and interval[p] == interval[p + 1]:
-            found = search(i + 2, s1, s2, s3 + ((p, p + 1),))
-        return found
-
-    return search(0, (), (), ())
+        if p + 1 in members and interval[p] == interval[p + 1]:
+            stack.append((i + 2, s1, s2, s3 + ((p, p + 1),)))
+        if p == 1 or p == n:
+            stack.append((i + 1, s1, s2 + (p,), s3))
+        if c < changes and p >= cut[c]:
+            stack.append((i + 1, s1 + (p,), s2, s3))
+    return None

@@ -79,7 +79,13 @@ from .errors import (
     UnderdeterminedInstanceError,
 )
 from .exact import bareiss_step, sign, sign_det
-from .facets import FacetComplex, enumerate_facets_line, s123_decompose
+from .facets import (
+    FacetComplex,
+    LineTables,
+    build_line_tables,
+    enumerate_facets_line,
+    s123_decompose,
+)
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,11 @@ class SignedDecomposition:
             )
         object.__setattr__(self, "sizes", sizes)
 
+    @cached_property
+    def line_tables(self) -> LineTables:
+        """The tables of the two line tests, built once (see ``facets``)."""
+        return build_line_tables(self.sizes)
+
     @property
     def k(self) -> int:
         """Number of sign changes."""
@@ -193,18 +204,6 @@ def curve_point(xi: Chart, t) -> tuple:
     if q == 0:
         raise PointAtInfinityError(f"denominator vanishes at t={t}")
     return tuple(t ** i / q for i in range(xi.d + 1))
-
-
-def lambda_eval(xi: Chart, s_values, t) -> Fraction:
-    """prod_{s in S}(t-s) / q(t)."""
-    t = Fraction(t)
-    q = q_eval(xi, t)
-    if q == 0:
-        raise PointAtInfinityError(f"denominator vanishes at t={t}")
-    p = Fraction(1)
-    for s in s_values:
-        p *= t - Fraction(s)
-    return p / q
 
 
 def _q_signs(xi: Chart, t_set: GroundSet) -> list:

@@ -13,6 +13,12 @@ is_power_of_linear_form_literal are the Fraction evaluations that the
 integer ones replaced.  chirotope_literal and one_lambda_sign_literal are
 the per-subset determinant and the per-parameter count that the shared
 elimination and the one-pass sign sweep of the geometric tests replaced.
+s123_decompose_literal is the recursive S1/S2/S3 search that rebuilt the
+interval table on every call, which the search on an explicit stack over
+tables kept on the decomposition replaced.  rat_literal is the string
+parser that sent every string to Fraction, which the int fast path for
+"p" and "p/q" replaced.  elementary_symmetric and lambda_eval were library
+functions that no library code called any more, kept as oracles.
 """
 
 from fractions import Fraction
@@ -21,6 +27,7 @@ from itertools import accumulate, combinations, permutations
 from math import comb, prod
 
 from veronese import (
+    S123,
     Chart,
     CircularComposition,
     DegenerateComplexError,
@@ -29,7 +36,9 @@ from veronese import (
     GroundSet,
     InvalidChartError,
     InvalidDecompositionError,
+    InvalidIndexError,
     InvalidInstanceError,
+    PointAtInfinityError,
     SignedDecomposition,
     UnderdeterminedInstanceError,
     certificate,
@@ -37,7 +46,6 @@ from veronese import (
     enumerate_facets_circular,
     induce_composition,
     is_cross_polytope,
-    lambda_eval,
     q_eval,
     sign_det,
     vertex_set,
@@ -133,6 +141,45 @@ def exhaustive_s123(decomposition, positions):
                 found.append((tuple(sorted(s1)), tuple(sorted(s2)),
                               tuple(zip(rest[0::2], rest[1::2]))))
     return found
+
+
+def _intervals(decomposition) -> list:
+    """interval[p] for p = 1..n; entry 0 is unused."""
+    return [None] + [j for j, size in enumerate(decomposition.sizes) for _ in range(size)]
+
+
+def s123_decompose_literal(decomposition, positions):
+    """Decompose a candidate facet S (1-based positions) into the three
+    certifying parts, or return None when S is not a facet."""
+    interval = _intervals(decomposition)
+    d, n = decomposition.d, len(interval) - 1
+    positions = list(positions)
+    members = set(positions)
+    s = sorted(members)
+    if len(s) != d or len(s) != len(positions):
+        raise DimensionMismatchError(f"expected {d} distinct positions")
+    if s and not 1 <= s[0] <= s[-1] <= n:
+        raise InvalidIndexError(f"positions out of range 1..{n}")
+    # the c-th sign change (0-based) lies between cut[c] and cut[c] + 1
+    cut = list(accumulate(decomposition.sizes))[:-1]
+
+    def search(i, s1, s2, s3):
+        c = len(s1)
+        if c < len(cut) and (i == d or s[i] > cut[c] + 1):
+            return None
+        if i == d:
+            return S123(s1, s2, s3)
+        p = s[i]
+        found = None
+        if c < len(cut) and p >= cut[c]:
+            found = search(i + 1, s1 + (p,), s2, s3)
+        if found is None and p in (1, n):
+            found = search(i + 1, s1, s2 + (p,), s3)
+        if found is None and p + 1 in members and interval[p] == interval[p + 1]:
+            found = search(i + 2, s1, s2, s3 + ((p, p + 1),))
+        return found
+
+    return search(0, (), (), ())
 
 
 def gale_evenness_even(n, d, facet) -> bool:
@@ -359,6 +406,52 @@ def certificate_unpruned(fc) -> bytes:
     search(refine_literal(facets, [0] * n))
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
+
+
+def rat_literal(value) -> Fraction:
+    """Parse a rational from an int, Fraction or a "p/q", "p" or decimal
+    string; a string with an exponent is refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise InvalidChartError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            raise InvalidChartError(
+                f"cannot parse rational {value!r}: exponents are refused")
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidChartError(f"cannot parse rational {value!r}") from exc
+    raise InvalidChartError(f"cannot parse rational {value!r}")
+
+
+def elementary_symmetric(values, i: int) -> Fraction:
+    """i-th elementary symmetric polynomial of the values, sigma_0 = 1."""
+    vals = [Fraction(v) for v in values]
+    if not 0 <= i <= len(vals):
+        raise IndexError(f"index {i} out of range for {len(vals)} values")
+    e = [Fraction(0)] * (i + 1)
+    e[0] = Fraction(1)
+    for v in vals:
+        for j in range(min(i, len(e) - 1), 0, -1):
+            e[j] += e[j - 1] * v
+    return e[i]
+
+
+def lambda_eval(xi: Chart, s_values, t) -> Fraction:
+    """prod_{s in S}(t-s) / q(t)."""
+    t = Fraction(t)
+    q = q_eval(xi, t)
+    if q == 0:
+        raise PointAtInfinityError(f"denominator vanishes at t={t}")
+    p = Fraction(1)
+    for s in s_values:
+        p *= t - Fraction(s)
+    return p / q
 
 
 def q_eval_literal(xi, t) -> Fraction:

@@ -440,12 +440,12 @@ def test_unparsable_parameter_is_invalid_input(capsys):
 ], ids=["while-writing", "at-exit"])
 def test_closed_stdout_exits_0_quietly(argv, read):
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.Popen([sys.executable, "-m", "veronese.cli"] + argv, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.read(read)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0 and err == b""
+    with subprocess.Popen([sys.executable, "-m", "veronese.cli"] + argv, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.read(read)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0 and err == b""
 
 
 @pytest.mark.parametrize("argv", [

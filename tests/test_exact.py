@@ -3,19 +3,23 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from veronese import (
     DimensionMismatchError,
     InvalidChartError,
-    elementary_symmetric,
     is_power_of_linear_form,
     rat,
     rat_str,
     sign_det,
 )
 
-from helpers import is_power_of_linear_form_literal, outcome
+from helpers import (
+    elementary_symmetric,
+    is_power_of_linear_form_literal,
+    outcome,
+    rat_literal,
+)
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
@@ -39,6 +43,37 @@ def test_rat_parsing():
     for text in ("1e5", "2E-3", "1.5e1", "-1e400"):
         with pytest.raises(InvalidChartError, match="exponent"):
             rat(text)
+
+
+# pieces of rational literals, valid or not: signs, whitespace inside and
+# around, zero denominators, underscores, decimals, exponents, non-ASCII
+# digits and numbers on both sides of int's 4300-digit limit
+_RAT_PIECES = st.sampled_from([
+    "", " ", "\t", "\n", "\u3000", "+", "-", "0", "7", "12", "007", "/", "/0",
+    "/-2", "_", "1_000", ".", ".5", "5.", "e", "E", "e5", "x", "nan", "inf",
+    "\u0663", "\u00b2", "\uff17", "1" * 4300, "9" * 2200,
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(_RAT_PIECES, max_size=7).map("".join),
+    st.tuples(_RAT_PIECES, st.sampled_from(["", "+", "-"]), st.integers(0, 10 ** 30),
+              st.sampled_from(["", "/"]), st.integers(0, 10 ** 30), _RAT_PIECES)
+    .map(lambda t: f"{t[0]}{t[1]}{t[2]}{t[3]}{t[4] if t[3] else ''}{t[5]}"),
+))
+@example("")
+@example(" -12/8 ")
+@example("1/0")
+@example("1/-2")
+@example("3 / 4")
+@example("\u0663/4")
+@example("1" * 4301)
+@example("-" + "1" * 4300 + "/" + "2" * 4300)
+@example("1/" + "0" * 4301)
+def test_rat_parses_like_fraction(text):
+    # the int fast path accepts, values and refuses exactly as Fraction
+    assert outcome(rat, text) == outcome(rat_literal, text)
 
 
 @given(rationals)

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import veronese.geometry as geometry
 from veronese import (
     DimensionMismatchError,
     FacetComplex,
@@ -14,8 +15,14 @@ from veronese import (
     is_sigma_pa,
     s123_decompose,
 )
+from veronese.facets import build_line_tables
 
-from helpers import exhaustive_s123, gale_evenness_even, random_decomposition
+from helpers import (
+    exhaustive_s123,
+    gale_evenness_even,
+    random_decomposition,
+    s123_decompose_literal,
+)
 
 DEC_EXAMPLE = SignedDecomposition((3, 4), 1, 4)
 
@@ -126,6 +133,7 @@ def test_s123_matches_exhaustive_search(d, seed):
     facets = set(enumerate_facets_line(dec).facets)
     for subset in combinations(range(1, n + 1), d):
         constructed = s123_decompose(dec, subset)
+        assert constructed == s123_decompose_literal(dec, subset)
         found = exhaustive_s123(dec, subset)
         key = tuple(p - 1 for p in subset)
         if key in facets:
@@ -155,6 +163,7 @@ def test_line_characterizations_agree_on_every_small_case():
                         is_facet = tuple(p - 1 for p in subset) in facets
                         assert is_sigma_pa(dec, complement) == is_facet
                         constructed = s123_decompose(dec, subset)
+                        assert constructed == s123_decompose_literal(dec, subset)
                         found = exhaustive_s123(dec, subset)
                         if is_facet:
                             assert len(found) == 1
@@ -164,6 +173,30 @@ def test_line_characterizations_agree_on_every_small_case():
                         else:
                             assert constructed is None and found == []
     assert subsets == 50684
+
+
+def test_line_tables_are_built_once_per_decomposition(monkeypatch):
+    built = []
+
+    def counting(sizes):
+        built.append(sizes)
+        return build_line_tables(sizes)
+
+    monkeypatch.setattr(geometry, "build_line_tables", counting)
+    dec = SignedDecomposition((3, 4), 1, 4)
+    enumerate_facets_line(dec)
+    for subset in combinations(range(1, 8), 4):
+        s123_decompose(dec, subset)
+        is_sigma_pa(dec, sorted(set(range(1, 8)) - set(subset)))
+    assert built == [(3, 4)]
+    twin = SignedDecomposition([3, 4], 1, 4)
+    assert twin == dec and twin.line_tables is not dec.line_tables
+    assert twin.line_tables == dec.line_tables == (
+        (None, 0, 0, 0, 1, 1, 1, 1),
+        (None, 1, 0, 1, 1, 0, 1, 0),
+        (3,),
+    )
+    assert built == [(3, 4), (3, 4)]
 
 
 @settings(max_examples=30, deadline=None)

@@ -19,11 +19,9 @@ from veronese import (
     chart_from_decomposition,
     curve_point,
     decompose_chart,
-    elementary_symmetric,
     enumerate_facets_geometric,
     facet_test_determinant,
     facet_test_lambda,
-    lambda_eval,
     q_eval,
     vertices_geometric,
 )
@@ -31,8 +29,10 @@ from veronese import (
 from helpers import (
     chart_from_decomposition_literal,
     chirotope_literal,
+    elementary_symmetric,
     facet_test_determinant_literal,
     facet_test_lambda_literal,
+    lambda_eval,
     one_lambda_sign_literal,
     outcome,
     q_eval_literal,
