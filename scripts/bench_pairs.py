@@ -6,14 +6,18 @@
 Each seed is one pair: perfbench/run.py runs in each tree on its own
 sources, the parent first in the 1st, 3rd, ... pair and the change first
 in the others.  A run keeps its last two stdout lines: details and result.
+Each pair also says whether the two trees gave the same reference_digest
+and block0_digest (the outputs of the seed's reference inputs and of its
+first block), so a change that alters outputs shows in the report.
 
 The summary gives, per end-to-end metric of BENCHMARK.json, the parent's
 median and quartiles (statistics.quantiles, n=4), the change's median
 and the pairs each side won (a tie goes to neither), and the failed
 operations per side.
 
-A run that exits nonzero ends the session: its side, seed, exit code and
-the tail of its stderr go to stderr, the pairs already done are printed
+A run that exits nonzero or whose result does not say "correct": true
+ends the session: its side, seed and exit code or failed operations, and
+the tail of its stderr, go to stderr, the pairs already done are printed
 as above, and the script exits 1.
 """
 
@@ -35,11 +39,14 @@ def run(tree, workload, seed, seconds):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    tail = "\n".join(out.stderr.splitlines()[-20:])
     if out.returncode != 0:
-        tail = "\n".join(out.stderr.splitlines()[-20:])
         raise RunFailed(f"seed {seed} exited {out.returncode}; stderr ends:\n{tail}")
-    detail, result = out.stdout.strip().splitlines()[-2:]
-    return {"detail": json.loads(detail), "result": json.loads(result)}
+    detail, result = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
+    if result.get("correct") is not True:
+        raise RunFailed(f"seed {seed} was not correct, {result.get('failed')} of "
+                        f"{result.get('attempted')} operations failed; stderr ends:\n{tail}")
+    return {"detail": detail, "result": result}
 
 
 def summary(pairs):
@@ -80,7 +87,9 @@ def main():
             print(f"{side} run failed: {failure}", file=sys.stderr)
             status = 1
             break
-        pairs.append({"seed": seed, "first": order[0], **runs})
+        same = {key: runs["parent"]["detail"][key] == runs["change"]["detail"][key]
+                for key in ("reference_digest", "block0_digest")}
+        pairs.append({"seed": seed, "first": order[0], "same_digests": same, **runs})
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
                       "summary": summary(pairs) if pairs else None, "pairs": pairs}))
     return status

@@ -180,7 +180,9 @@ def certificate(fc: FacetComplex) -> bytes:
     for i, f in enumerate(facets):
         for v in f:
             incidence[v].append(i)
-    labels, prints = [n - 1] * n, [None] * len(facets)
+    # the first refinement fingerprints every facet with a vertex; a d = 0
+    # complex has only the empty facet, whose fingerprint is ()
+    labels, prints = [n - 1] * n, [()] * len(facets)
     cells = {n - 1: list(range(n))} if n > 1 else {}
     _refine(facets, incidence, labels, cells, prints, range(n))
     best, path = None, []  # the minimal encoding; one inner node per depth

@@ -18,51 +18,68 @@ L b^d > 0, Q has the sign of q(t).  ``chart_from_decomposition``
 likewise expands prod (v t - u) over the gap midpoints u/v in integers
 and divides by prod v once.
 
+Both facet tests name a subset of T's indices by one int bit mask,
+bit i for the i-th parameter.
+
 The lambda test evaluates its instance once per call: it takes sign q(t)
-once per parameter t of T; for t outside S the definition
-lambda_S(t) = prod_{s in S}(t - s) / q(t) gives
+once per parameter t of T, as the mask P of the t with q(t) > 0.  For t
+outside S the definition lambda_S(t) = prod_{s in S}(t - s) / q(t) gives
 
     sign lambda_S(t) = sign q(t) * (-1)^#{s in S : s > t},
 
-so a subset costs one pass over T: up to the factor (-1)^|S|, common to
-all t, the sign flips each time t passes a value of S, which is
-O(n + d) comparisons per subset.  The determinant test builds each
-curve point once per instance as an integer row: for t = a/b it takes
-sign(Q) * (b^d, a b^(d-1), ..., a^d) with Q = b^d L q(t) and L the lcm of
-the chart's denominators.  That row is |Q|/L times (1,t,...,t^d)/q(t), a
-positive multiple, so no determinant changes sign.  For S inside T each
+so with F the XOR over s in S of the mask of the parameters below s
+(the first bisect_left(T, s) of them; i of them for the i-th
+parameter), bit t of F is the parity of #{s in S : s > t}, and
+lambda_S(t) > 0 iff bit t of P ^ F is 1.  With E the mask of the members
+of S and ~E = T minus S, S is a facet iff ~E is not empty and
+(P ^ F) & ~E is 0 (lambda_S < 0 on all of it) or ~E (lambda_S > 0): a
+few int operations per value of S, and none per parameter.  The
+determinant test builds each curve point once per instance as an
+integer row: for t = a/b it takes sign(Q) * (b^d, a b^(d-1), ..., a^d)
+with Q = b^d L q(t) and L the lcm of the chart's denominators.  That
+row is |Q|/L times (1,t,...,t^d)/q(t), a positive multiple, so no
+determinant changes sign.  For S inside T, with mask E, each
 determinant is a chirotope value up to a row swap: moving the row of t
 from last place to its place in sorted order passes the rows of the
-s > t, so
+s > t, (E >> t).bit_count() of them, so
 
-    sign det(rows(sorted S); row(t)) = (-1)^#{s in S : s > t} * chi(sorted(S + {t}))
+    sign det(rows(sorted S); row(t)) = (-1)^#{s in S : s > t} * chi(E | 1 << t)
 
-with chi(U) = sign det(rows(U)) for a sorted (d+1)-subset U of T.  The
-rows and chi are memoized per instance (a small LRU cache keyed by the
-chart and the ground set), and chi is filled by Bareiss elimination
-shared between subsets.  By Sylvester's identity (Bareiss 1968), after
-the elimination steps that pivot on the rows of a sorted index prefix P,
-the entries of a later row j are the (|P|+1)-minors of the rows of P and
-j, so they depend on P and j alone.  The memo keeps that reduced row,
-R(P + (j,)), once per pair, made lazily: it is one step
-(``exact.bareiss_step``) of R(P[:-1] + (j,)) against the pivot row R(P),
-divided exactly by the previous pivot.  chi(U) is the sign of the one
-entry left in R(U), kept in the same dict under U.  A pivot is a leading
-minor of the rows, a homogeneous Vandermonde determinant up to sign, so
-it is nonzero for distinct parameters; if one is 0 all the same, chi(U)
-falls back to ``sign_det`` on U's rows.  A full scan of the d-subsets
-thus makes at most sum_{k=2..d+1} C(n, k) row steps of at most d
-entries each and no full elimination, where one ``sign_det`` per
-(d+1)-subset took about d^3/3 entry updates.  A single cold call only
-makes the rows its n - d subsets U need, at most d(d+1)/2 steps per U.
-The determinant test stays independent of the lambda test: it computes
-q through its own integer rows, never through ``q_eval`` or the sign
-table, and decides each subset by determinants, with no closed form.
+with chi(U) = sign det(rows(U)) for a mask U of d+1 indices, its rows
+in index order.  The rows and chi are memoized per instance (a small
+LRU cache keyed by the chart and the ground set), and chi is filled by
+Bareiss elimination shared between subsets.  By Sylvester's identity
+(Bareiss 1968), after the elimination steps that pivot on the rows of
+an index set P in increasing order, the entries of a later row j are
+the (|P|+1)-minors of the rows of P and j, so they depend on P and j
+alone.  The memo keeps that reduced row, R(P | 1 << j), once per pair,
+under its mask (j is the top bit), made lazily: it is one step
+(``exact.bareiss_step``) of R(K) against the pivot row R(P), with K the
+mask P | 1 << j less P's top bit, divided exactly by the previous
+pivot, which R(P) keeps in a column the elimination has passed.
+chi(U) is the sign of the one entry left in R(U), kept in the same
+dict under U.  Python hashes an int modulo 2^61 - 1, so 2^i and
+2^(i+61) hash alike, and past 61 parameters masks that agree bit for
+bit modulo 61 would share a hash: a scan at d = 1 would pile up about
+n^2/3800 keys per hash.  There the memo keys a mask by its bytes
+instead.  A pivot is a leading minor of the rows, a homogeneous
+Vandermonde determinant up to sign, so it is nonzero for distinct
+parameters; if one is 0 all the same, chi(U) falls back to
+``sign_det`` on U's rows.  A full scan of the d-subsets thus makes at
+most sum_{k=2..d+1} C(n, k) row steps of at most d entries each and no
+full elimination, where one ``sign_det`` per (d+1)-subset took about
+d^3/3 entry updates.  A single cold call only makes the rows its n - d
+subsets U need, at most d(d+1)/2 steps per U.  The two tests stay
+independent: the determinant test computes q through its own integer
+rows, never through ``q_eval`` or the sign table, and decides each
+subset by determinants, with no closed form; the lambda test takes no
+determinant.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -217,28 +234,28 @@ def _q_signs(xi: Chart, t_set: GroundSet) -> list:
     return signs
 
 
-def _one_lambda_sign(q_signs, keys, s) -> bool:
-    """Whether sign lambda_S(t) = sign q(t) * (-1)^#{v in S : v > t} is
-    one sign on T minus S.  keys stand for T's parameters in their order
-    (the parameters or their indices), and s holds S in the same terms.
-    For t outside S, #{v in S : v > t} = |S| - #{v in S : v < t}, so up to
-    the common factor (-1)^|S| the sign is sign q(t) times the parity of
-    the values of S passed so far: one pass over T that flips the parity
-    each time t passes a value of S."""
-    ahead = sorted(s, reverse=True)  # the values of S not passed yet, smallest last
-    flip = 1
-    first = 0
-    for t, q in zip(keys, q_signs):
-        while ahead and ahead[-1] < t:
-            ahead.pop()
-            flip = -flip
-        if ahead and ahead[-1] == t:
-            continue  # t is in S
-        if not first:
-            first = q * flip
-        elif q * flip != first:
-            return False
-    return first != 0
+def _lambda_masks(params, s_values) -> tuple:
+    """(E, F) of S on T (see the module docstring): E the mask of the
+    parameters in S, F the XOR over S of the masks of the parameters
+    below each value of S."""
+    members = flips = 0
+    for v in s_values:
+        i = bisect_left(params, v)
+        if i < len(params) and params[i] == v:
+            members |= 1 << i
+        flips ^= (1 << i) - 1
+    return members, flips
+
+
+def _one_lambda_sign(positive: int, rest: int, flips: int) -> bool:
+    """Whether lambda_S has one sign on T minus S, given the mask of the
+    t with q(t) > 0, the mask of T minus S and F (module docstring)."""
+    return rest != 0 and (positive ^ flips) & rest in (0, rest)
+
+
+def _positive_mask(xi: Chart, t_set: GroundSet) -> int:
+    """P: the mask of the parameters of T where q > 0."""
+    return sum(1 << i for i, s in enumerate(_q_signs(xi, t_set)) if s > 0)
 
 
 def facet_test_lambda(xi: Chart, t_set: GroundSet, s_values) -> bool:
@@ -246,7 +263,9 @@ def facet_test_lambda(xi: Chart, t_set: GroundSet, s_values) -> bool:
     s = set(Fraction(v) for v in s_values)
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
-    return _one_lambda_sign(_q_signs(xi, t_set), t_set.params, s)
+    positive = _positive_mask(xi, t_set)
+    members, flips = _lambda_masks(t_set.params, s)
+    return _one_lambda_sign(positive, ((1 << t_set.n) - 1) ^ members, flips)
 
 
 def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
@@ -269,48 +288,54 @@ def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
 
 @lru_cache(maxsize=8)
 def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
-    """((numerator, denominator) of a parameter -> index, T's curve rows,
-    the elimination memo) of the instance.  The memo maps a sorted index
-    tuple K of length at most d to the reduced row R(K) (None if a pivot
-    on the way is 0), and a sorted (d+1)-tuple U to chi(U) =
-    sign det(rows(U)) (see the module docstring); facet_test_determinant
-    fills it.  Raises InvalidInstanceError, which lru_cache does not
-    keep, if the chart vanishes on T."""
+    """((numerator, denominator) of a parameter -> its bit, T's curve rows,
+    the elimination memo) of the instance.  The memo maps the bit mask
+    K of at most d indices to the reduced row R(K) (None if a pivot on
+    the way is 0), and a mask U of d+1 indices to chi(U) =
+    sign det(rows(U)); past 61 parameters a mask is keyed by its bytes
+    (see the module docstring).  _reduced fills it.  Raises
+    InvalidInstanceError, which lru_cache does not keep, if the chart
+    vanishes on T."""
     rows = _curve_rows(xi, t_set)
-    return {(t.numerator, t.denominator): i for i, t in enumerate(t_set.params)}, rows, {}
+    return {t.as_integer_ratio(): 1 << i for i, t in enumerate(t_set.params)}, rows, {}
 
 
-def _reduced(memo: dict, rows, key: tuple):
-    """R(key): row key[-1] after the Bareiss steps that pivot on the rows
-    key[:-1] in order, valid from column len(key) - 1 on; None if one of
-    those pivots is 0.  The rows it is made from are kept in memo, R(key)
-    itself is not."""
-    if len(key) == 1:
-        return rows[key[0]]
-    k = len(key) - 2
-    pivot_row = _kept(memo, rows, key[:-1])
-    row = _kept(memo, rows, key[:-2] + key[-1:])
-    if pivot_row is None or row is None or pivot_row[k] == 0:
-        return None
-    row = list(row)
-    # both rows were made by the step that pivots on R(key[:-2])
-    bareiss_step((row,), pivot_row, k, memo[key[:-2]][k - 1] if k else 1)
-    return row
-
-
-def _kept(memo: dict, rows, key: tuple):
-    """R(key), made once and kept in memo."""
-    row = memo.get(key)
-    if row is None:
-        row = memo[key] = _reduced(memo, rows, key)
-    return row
-
-
-def _chirotope(memo: dict, rows, u: tuple) -> int:
-    """chi(u) for a sorted (d+1)-tuple u, kept in memo: the sign of the
-    last entry of R(u), or sign_det of u's rows if a pivot is 0."""
-    row = _reduced(memo, rows, u)
-    c = memo[u] = sign(row[-1]) if row is not None else sign_det([rows[i] for i in u])
+def _reduced(memo: dict, rows, key: int):
+    """The memo's entry for key, made once and kept under key (under its
+    bytes past 61 parameters): chi(key) if key has d+1 indices, else
+    R(key).  R(key) is row top = max(key) after one Bareiss step against
+    the pivot row R(key - {top}), both rows made by the step that pivots
+    on R(key - {top, below}), below the next index down; it is None if
+    one of those pivots is 0.  The step divides by the pivot of that
+    earlier step, which R(key - {top}) keeps in its column k - 1: a row
+    made at step k keeps the step's pivot in its column k, which the
+    elimination does not read again.  chi is the sign of the one entry
+    left in R(key), or sign_det of the rows of key if a pivot is 0."""
+    n = len(rows)
+    slot = key if n <= 61 else key.to_bytes((n + 7) >> 3, "little")
+    entry = memo.get(slot)
+    if entry is not None:
+        return entry
+    top = key.bit_length() - 1
+    rest = key ^ 1 << top
+    if not rest:
+        row = rows[top]
+    else:
+        below = 1 << (rest.bit_length() - 1)
+        k = rest.bit_count() - 1
+        pivot_row = _reduced(memo, rows, rest)
+        row = _reduced(memo, rows, key ^ below)
+        if pivot_row is None or row is None or pivot_row[k] == 0:
+            row = None
+        else:
+            row = list(row)
+            bareiss_step((row,), pivot_row, k, pivot_row[k - 1] if k else 1)
+            row[k] = pivot_row[k]
+    if key.bit_count() < len(rows[0]):
+        memo[slot] = row
+        return row
+    c = memo[slot] = sign(row[-1]) if row is not None else sign_det(
+        [r for i, r in enumerate(rows) if key >> i & 1])
     return c
 
 
@@ -319,12 +344,11 @@ def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
     keeps all remaining generating points strictly on one side."""
     # each value of S is hashed once, as its (numerator, denominator),
     # which hashes in C; a Fraction's own hash takes a modular inverse
-    s = {(f.numerator, f.denominator)
-         for f in (v if type(v) is Fraction else Fraction(v) for v in s_values)}
+    s = {(v if type(v) is Fraction else Fraction(v)).as_integer_ratio() for v in s_values}
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
-    index, rows, memo = _determinant_memo(xi, t_set)
-    picked = [index.get(v) for v in s]
+    bit, rows, memo = _determinant_memo(xi, t_set)
+    picked = [bit.get(v) for v in s]
     if None in picked:
         # S leaves T: S's rows leave the table, so the rows left are T minus S
         left = dict(zip(t_set.params, rows))
@@ -332,23 +356,19 @@ def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
                 for v in sorted(Fraction(*key) for key in s)]
         signs = {sign_det(base + [row]) for row in left.values()}
         return len(signs) == 1 and 0 not in signs
-    picked.sort()
-    first = None
-    pos = 0  # number of picked indices below j
+    mask = sum(picked)
+    first = 0
     for j in range(len(rows)):
-        if pos < len(picked) and picked[pos] == j:
-            pos += 1
+        if mask >> j & 1:
             continue
-        key = (*picked[:pos], j, *picked[pos:])
-        c = memo.get(key)
-        if c is None:
-            c = _chirotope(memo, rows, key)
-        # row j moves past the len(picked) - pos rows of S above it
-        c = c if (len(picked) - pos) % 2 == 0 else -c
-        if c == 0 or first not in (None, c):
+        c = _reduced(memo, rows, mask | 1 << j)
+        # row j moves past the rows of S above it, (mask >> j).bit_count() of them
+        if (mask >> j).bit_count() & 1:
+            c = -c
+        if not c or first and c != first:
             return False
         first = c
-    return first is not None
+    return first != 0
 
 
 def enumerate_facets_geometric(xi: Chart, t_set: GroundSet) -> FacetComplex:
@@ -357,12 +377,16 @@ def enumerate_facets_geometric(xi: Chart, t_set: GroundSet) -> FacetComplex:
         raise UnderdeterminedInstanceError(
             f"need more than d={d} generating points, got {t_set.n}"
         )
-    q_signs = _q_signs(xi, t_set)
-    keys = range(t_set.n)
-    facets = [
-        idxs for idxs in combinations(keys, d)
-        if _one_lambda_sign(q_signs, keys, idxs)
-    ]
+    positive = _positive_mask(xi, t_set)
+    full = (1 << t_set.n) - 1
+    facets = []
+    for idxs in combinations(range(t_set.n), d):
+        members = flips = 0
+        for i in idxs:
+            members |= 1 << i
+            flips ^= (1 << i) - 1
+        if _one_lambda_sign(positive, full ^ members, flips):
+            facets.append(idxs)
     return FacetComplex(t_set.n, d, tuple(facets))
 
 

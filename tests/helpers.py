@@ -12,7 +12,9 @@ q_eval_literal, chart_from_decomposition_literal and
 is_power_of_linear_form_literal are the Fraction evaluations that the
 integer ones replaced.  chirotope_literal and one_lambda_sign_literal are
 the per-subset determinant and the per-parameter count that the shared
-elimination and the one-pass sign sweep of the geometric tests replaced.
+elimination and the one-pass sign sweep of the geometric tests replaced;
+one_lambda_sweep_literal is that sweep, which the bit-mask predicate of
+the lambda test replaced in turn.
 s123_decompose_literal is the recursive S1/S2/S3 search that rebuilt the
 interval table on every call, which the search on an explicit stack over
 tables kept on the decomposition replaced.  rat_literal is the string
@@ -42,6 +44,7 @@ from veronese import (
     SignedDecomposition,
     UnderdeterminedInstanceError,
     certificate,
+    chart_from_decomposition,
     curve_point,
     enumerate_facets_circular,
     induce_composition,
@@ -78,6 +81,29 @@ def random_decomposition(rng, d, n):
     cuts = sorted(rng.sample(range(1, n), k))
     sizes = tuple(b - a for a, b in zip([0] + cuts, cuts + [n]))
     return SignedDecomposition(sizes, rng.choice([1, -1]), d)
+
+
+def random_chart(rng, d, roots):
+    """Fractional coefficients of q = prod_{r in roots}(t - r) * p(t)."""
+    coords = [Fraction(0)]
+    while not any(coords):
+        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                  for _ in range(d + 1 - len(roots))]
+    for r in roots:
+        coords = [a - r * b for a, b in zip([Fraction(0)] + coords, coords + [0])]
+    return Chart(tuple(coords))
+
+
+def random_instance(rng, d, n):
+    """A ground set and a chart that does not vanish on it, half of them
+    realizing a random signed decomposition."""
+    t_set = random_ground_set(rng, n)
+    if rng.random() < 0.5:
+        return chart_from_decomposition(random_decomposition(rng, d, n), t_set), t_set
+    xi = random_chart(rng, d, [])
+    while any(q_eval(xi, t) == 0 for t in t_set.params):
+        xi = random_chart(rng, d, [])
+    return xi, t_set
 
 
 def random_composition(rng, d, n):
@@ -553,6 +579,30 @@ def one_lambda_sign_literal(q_signs, keys, s) -> bool:
         for t, q in zip(keys, q_signs) if t not in s
     }
     return len(signs) == 1
+
+
+def one_lambda_sweep_literal(q_signs, keys, s) -> bool:
+    """Whether sign lambda_S(t) = sign q(t) * (-1)^#{v in S : v > t} is
+    one sign on T minus S.  keys stand for T's parameters in their order
+    (the parameters or their indices), and s holds S in the same terms.
+    For t outside S, #{v in S : v > t} = |S| - #{v in S : v < t}, so up to
+    the common factor (-1)^|S| the sign is sign q(t) times the parity of
+    the values of S passed so far: one pass over T that flips the parity
+    each time t passes a value of S."""
+    ahead = sorted(s, reverse=True)  # the values of S not passed yet, smallest last
+    flip = 1
+    first = 0
+    for t, q in zip(keys, q_signs):
+        while ahead and ahead[-1] < t:
+            ahead.pop()
+            flip = -flip
+        if ahead and ahead[-1] == t:
+            continue  # t is in S
+        if not first:
+            first = q * flip
+        elif q * flip != first:
+            return False
+    return first != 0
 
 
 def pair_choices_literal(n, count, blocked, start, chosen, out):

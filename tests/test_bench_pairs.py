@@ -1,4 +1,5 @@
-"""scripts/bench_pairs.py keeps the pairs it has when a run fails."""
+"""scripts/bench_pairs.py keeps the pairs it has when a run fails, fails
+on a run that is not correct, and compares the two trees' digests."""
 
 import json
 import subprocess
@@ -7,32 +8,66 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+RESULT = {"correct": True, "attempted": 4, "failed": 0,
+          "metrics": {name: {"value": 1.0} for name in METRICS}}
+DETAIL = {"reference_digest": "r0", "block0_digest": "b0"}
 
 
-def _tree(path, body):
+def _tree(path, body, detail=DETAIL, result=RESULT):
+    """A source tree whose perfbench/run.py runs body, then prints the
+    detail and result lines."""
     (path / "perfbench").mkdir(parents=True)
-    (path / "perfbench" / "run.py").write_text(body)
+    (path / "perfbench" / "run.py").write_text(
+        f"import json, sys\n{body}\n"
+        f"print(json.dumps({detail!r}))\nprint(json.dumps({result!r}))\n")
     return str(path)
 
 
+def _pairs(parent, change, *seeds):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), parent, change,
+         "--workload", "types", "--seeds", *map(str, seeds), "--seconds", "1"],
+        capture_output=True, text=True, timeout=60)
+
+
 def test_failed_run_reports_its_side_seed_and_stderr(tmp_path):
-    result = {"failed": 0, "metrics": {name: {"value": 1.0} for name in METRICS}}
-    parent = _tree(tmp_path / "parent", (
-        "import json\n"
-        f"print(json.dumps({{}}))\nprint(json.dumps({result!r}))\n"))
+    parent = _tree(tmp_path / "parent", "")
     change = _tree(tmp_path / "change", (
-        "import sys\n"
         "if sys.argv[sys.argv.index('--seed') + 1] == '2':\n"
         "    print('trace\\nboom: no such workload', file=sys.stderr)\n"
-        "    sys.exit(3)\n"
-        f"import json\nprint(json.dumps({{}}))\nprint(json.dumps({result!r}))\n"))
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), parent, change,
-         "--workload", "types", "--seeds", "1", "2", "3", "--seconds", "1"],
-        capture_output=True, text=True, timeout=60)
+        "    sys.exit(3)\n"))
+    out = _pairs(parent, change, 1, 2, 3)
     assert out.returncode == 1
     assert "change run failed: seed 2 exited 3" in out.stderr
     assert out.stderr.rstrip().endswith("boom: no such workload")
     report = json.loads(out.stdout)
     assert [pair["seed"] for pair in report["pairs"]] == [1]
     assert report["summary"]["failed"] == {"parent": 0, "change": 0}
+
+
+def test_run_that_is_not_correct_fails_the_session(tmp_path):
+    wrong = {**RESULT, "correct": False, "failed": 3}
+    parent = _tree(tmp_path / "parent", "", result=wrong)
+    change = _tree(tmp_path / "change", "")
+    out = _pairs(parent, change, 5, 6)
+    assert out.returncode == 1
+    assert "parent run failed: seed 5 was not correct, 3 of 4 operations failed" \
+        in out.stderr
+    report = json.loads(out.stdout)
+    assert report["pairs"] == [] and report["summary"] is None
+
+
+def test_pairs_report_whether_the_digests_agree(tmp_path):
+    parent = _tree(tmp_path / "parent", "")
+    change = _tree(tmp_path / "change", (
+        "if sys.argv[sys.argv.index('--seed') + 1] == '8':\n"
+        "    print(json.dumps({'reference_digest': 'r0', 'block0_digest': 'other'}))\n"
+        f"    print(json.dumps({RESULT!r}))\n"
+        "    sys.exit(0)\n"))
+    out = _pairs(parent, change, 7, 8)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert [pair["same_digests"] for pair in report["pairs"]] == [
+        {"reference_digest": True, "block0_digest": True},
+        {"reference_digest": True, "block0_digest": False},
+    ]

@@ -122,6 +122,20 @@ def test_certify_stdin(capsys, monkeypatch):
     bytes.fromhex(cert)
 
 
+def test_certify_empty_facet(capsys, monkeypatch):
+    import io
+
+    # d = 0 allows only the empty facet; repeats and unused labels collapse
+    certs = []
+    for payload in ({"n_labels": 0, "d": 0, "facets": [[]]},
+                    {"n_labels": 3, "d": 0, "facets": [[], []]}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out, _ = run(capsys, ["certify"])
+        assert code == 0
+        certs.append(json.loads(out)["certificate"])
+    assert certs == [b"0:0:".hex()] * 2
+
+
 def _one_json_error(err):
     lines = err.strip().splitlines()
     assert len(lines) == 1

@@ -140,6 +140,8 @@ def arbitrary(draw):
 @example((["enumerate", "--d", "2", "--n", "3..2000000000"], ""))
 @example((["facets", "--d", "2000", "--arcs", "2001", "--dividers", "0"], ""))
 @example((["facets", "--d", "1200", "--arcs", ",".join(["1"] * 1199 + ["2"])], ""))
+# a d = 0 complex, whose only facet is empty
+@example((["certify"], '{"n_labels": 0, "d": 0, "facets": [[]]}'))
 def test_main_honours_the_error_contract(request):
     argv, stdin = request
     out, err = io.StringIO(), io.StringIO()

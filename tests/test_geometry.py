@@ -34,10 +34,13 @@ from helpers import (
     facet_test_lambda_literal,
     lambda_eval,
     one_lambda_sign_literal,
+    one_lambda_sweep_literal,
     outcome,
     q_eval_literal,
+    random_chart,
     random_decomposition,
     random_ground_set,
+    random_instance,
 )
 
 T_EXAMPLE = GroundSet((-3, -2, -1, 1, 2, 3, 4))
@@ -80,7 +83,7 @@ def test_q_eval_matches_literal_oracle():
     for _ in range(3000):
         d = rng.randint(0, 12)
         roots = [_random_rational(rng) for _ in range(rng.randint(0, d))]
-        xi = _random_chart(rng, d, roots)
+        xi = random_chart(rng, d, roots)
         if rng.random() < 0.3:
             xi = Chart(tuple(_random_rational(rng) for _ in range(d))
                        + (rng.randint(1, 9),))
@@ -280,17 +283,6 @@ def _outcome(test, *args):
         return type(exc)
 
 
-def _random_chart(rng, d, roots):
-    """Fractional coefficients of q = prod_{r in roots}(t - r) * p(t)."""
-    coords = [Fraction(0)]
-    while not any(coords):
-        coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                  for _ in range(d + 1 - len(roots))]
-    for r in roots:
-        coords = [a - r * b for a, b in zip([Fraction(0)] + coords, coords + [0])]
-    return Chart(tuple(coords))
-
-
 def test_geometric_tests_match_literal_oracles():
     rng = random.Random(906)
     seen = set()
@@ -304,7 +296,7 @@ def test_geometric_tests_match_literal_oracles():
             outside += Fraction(1, 7)
         # charts that vanish on T, outside T, or both (where d allows two roots)
         roots = ([], [rng.choice(params)], [outside], [rng.choice(params), outside])
-        xi = _random_chart(rng, d, roots[case % 4][:d])
+        xi = random_chart(rng, d, roots[case % 4][:d])
         subsets = [[params[i] for i in idxs] for idxs in combinations(range(n), d)]
         some = rng.sample(subsets, min(4, len(subsets)))
         subsets += [[outside] + s[1:] for s in some]       # S leaves T
@@ -353,9 +345,9 @@ def test_determinant_memo_matches_literal_oracle():
         n = rng.randint(d + 1, 8)
         t_set = random_ground_set(rng, n)
         a = chart_from_decomposition(random_decomposition(rng, d, n), t_set)
-        b = _random_chart(rng, d, [])
+        b = random_chart(rng, d, [])
         while any(q_eval(b, t) == 0 for t in t_set.params):
-            b = _random_chart(rng, d, [])
+            b = random_chart(rng, d, [])
         outside = Fraction(61, 2)  # beyond the span of random_ground_set
         # two charts on one ground set, interleaved A, B, A, so the memo
         # holds both instances at once; then equal but distinct objects
@@ -382,6 +374,10 @@ def test_determinant_memo_never_keeps_an_error():
         == facet_test_determinant_literal(ok, t_set, (0, 1, 3))
 
 
+def _mask(idxs) -> int:
+    return sum(1 << i for i in idxs)
+
+
 def test_determinant_scan_shares_its_eliminations(monkeypatch):
     rng = random.Random(908)
     d, n = 6, 10
@@ -395,7 +391,7 @@ def test_determinant_scan_shares_its_eliminations(monkeypatch):
         return sign_det(rows)
 
     def counted_reduced(memo, rows, key):
-        if len(key) > 1:
+        if key.bit_count() > 1 and key not in memo:  # n <= 61: keyed by the mask
             reduced.append(key)
         return _reduced(memo, rows, key)
 
@@ -404,7 +400,7 @@ def test_determinant_scan_shares_its_eliminations(monkeypatch):
     found = [idxs for idxs in combinations(range(n), d)
              if facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])]
     assert determinants == []
-    # each (prefix, row) pair, a sorted key of 2 to d+1 indices, is reduced once
+    # each (prefix, row) pair, a mask of 2 to d+1 indices, is reduced once
     assert len(set(reduced)) == len(reduced) <= sum(comb(n, k) for k in range(2, d + 2))
     assert tuple(found) == enumerate_facets_geometric(xi, t_set).facets
     # a second scan is answered from the memo
@@ -415,32 +411,68 @@ def test_determinant_scan_shares_its_eliminations(monkeypatch):
     assert (len(memo), len(reduced)) == (entries, scan_reduced)
 
 
-def _random_instance(rng, d, n):
-    """A ground set and a chart that does not vanish on it, half of them
-    realizing a random signed decomposition."""
-    t_set = random_ground_set(rng, n)
-    if rng.random() < 0.5:
-        return chart_from_decomposition(random_decomposition(rng, d, n), t_set), t_set
-    xi = _random_chart(rng, d, [])
-    while any(q_eval(xi, t) == 0 for t in t_set.params):
-        xi = _random_chart(rng, d, [])
-    return xi, t_set
+@pytest.mark.parametrize("d, n", [(10, 40), (12, 60)])
+def test_cold_determinant_call_stays_lazy(monkeypatch, d, n):
+    """One call on an empty memo makes at most d(d+1)/2 elimination
+    steps for each of its n - d subsets U (see the module docstring)."""
+    rng = random.Random(1000 * d + n)
+    steps = []
+    bareiss_step = geometry.bareiss_step
+
+    def counted(*args):
+        steps.append(1)
+        return bareiss_step(*args)
+
+    monkeypatch.setattr(geometry, "bareiss_step", counted)
+    for _ in range(3):
+        t_set = random_ground_set(rng, n)
+        xi = chart_from_decomposition(random_decomposition(rng, d, n), t_set)
+        s = rng.sample(t_set.params, d)
+        geometry._determinant_memo.cache_clear()
+        steps.clear()
+        assert facet_test_determinant(xi, t_set, s) \
+            == facet_test_lambda(xi, t_set, s), (xi, t_set, s)
+        assert 0 < len(steps) <= (n - d) * d * (d + 1) // 2
+
+
+def test_wide_ground_sets_keep_memo_hashes_apart():
+    """Past 61 parameters the memo keys masks by their bytes, since int
+    masks would share hashes (see the module docstring): every memo key
+    hashes apart, and the scan agrees with the lambda test and, on a
+    sample, with the literal oracle."""
+    rng = random.Random(914)
+    for d, n in ((1, 130), (2, 70)):
+        xi, t_set = random_instance(rng, d, n)
+        params = t_set.params
+        found = tuple(idxs for idxs in combinations(range(n), d)
+                      if facet_test_determinant(xi, t_set, [params[i] for i in idxs]))
+        assert found == enumerate_facets_geometric(xi, t_set).facets
+        memo = geometry._determinant_memo(xi, t_set)[2]
+        assert len({hash(key) for key in memo}) == len(memo)
+        if d == 1:
+            # int masks of one or two indices would take at most 61 + 1891 hashes
+            assert len(memo) > 61 + 61 * 62 // 2
+        for _ in range(4):
+            s = rng.sample(params, d)
+            assert facet_test_determinant(xi, t_set, s) \
+                == facet_test_determinant_literal(xi, t_set, s), (xi, t_set, s)
 
 
 def test_chirotope_memo_matches_literal_oracle():
     rng = random.Random(909)
     for case in range(36):
         d = 1 + case % 6
-        xi, t_set = _random_instance(rng, d, rng.randint(d + 1, 10))
+        xi, t_set = random_instance(rng, d, rng.randint(d + 1, 10))
         n = t_set.n
-        # a scan in random order fills part of the memo; _chirotope the rest
+        # a scan in random order fills part of the memo; _reduced the rest
         subsets = list(combinations(range(n), d))
         rng.shuffle(subsets)
         for idxs in subsets:
             facet_test_determinant(xi, t_set, [t_set.params[i] for i in idxs])
         _, rows, memo = geometry._determinant_memo(xi, t_set)
         for u in combinations(range(n), d + 1):
-            got = memo[u] if u in memo else geometry._chirotope(memo, rows, u)
+            key = _mask(u)
+            got = memo[key] if key in memo else geometry._reduced(memo, rows, key)
             assert got == chirotope_literal(rows, u), (xi, t_set, u)
 
 
@@ -458,8 +490,8 @@ def test_chirotope_falls_back_to_sign_det_on_a_zero_pivot(monkeypatch):
     monkeypatch.setattr(geometry, "sign_det", counted)
     memo, zero_pivots, signs = {}, 0, set()
     for u in combinations(range(len(rows)), 3):
-        got = geometry._chirotope(memo, rows, u)
-        assert got == memo[u] == sign_det([rows[i] for i in u]), u
+        got = geometry._reduced(memo, rows, _mask(u))
+        assert got == memo[_mask(u)] == sign_det([rows[i] for i in u]), u
         signs.add(got)
         zero_pivots += any(sign_det([rows[i][:k] for i in u[:k]]) == 0 for k in (1, 2))
     assert 0 < zero_pivots == len(determinants) < comb(len(rows), 3)
@@ -467,12 +499,16 @@ def test_chirotope_falls_back_to_sign_det_on_a_zero_pivot(monkeypatch):
 
 
 def test_lambda_sweep_matches_literal_oracle():
+    """The mask predicate, on index keys and on values inside and off T,
+    against the sweep it replaced and the per-parameter count."""
     rng = random.Random(911)
     for case in range(70):
         d = case % 7
-        n = rng.randint(max(d, 1), 10)  # n = d leaves T minus S empty
+        # the first seven cases take n = d, which leaves T minus S empty
+        n = d if case < 7 else rng.randint(max(d, 1), 10)
         params = random_ground_set(rng, n).params
         q_signs = [rng.choice((1, -1)) for _ in range(n)]
+        positive = _mask(i for i, q in enumerate(q_signs) if q > 0)
         outside = Fraction(rng.randint(-70, 70), rng.randint(1, 9))
         while outside in params:
             outside = Fraction(rng.randint(-70, 70), rng.randint(1, 9))
@@ -480,8 +516,25 @@ def test_lambda_sweep_matches_literal_oracle():
             values = {params[i] for i in idxs}
             for keys, s in ((range(n), idxs), (params, values),
                             (params, values - {params[idxs[0]]} | {outside} if d else values)):
-                assert geometry._one_lambda_sign(q_signs, keys, s) \
+                members, flips = geometry._lambda_masks(keys, s)
+                got = geometry._one_lambda_sign(positive, ((1 << n) - 1) ^ members, flips)
+                assert got == one_lambda_sweep_literal(q_signs, keys, s) \
                     == one_lambda_sign_literal(q_signs, keys, s), (q_signs, keys, s)
+
+
+def test_facet_test_lambda_places_values_off_t():
+    """S values below, between, equal to and above T's parameters."""
+    rng = random.Random(913)
+    for case in range(120):
+        d = 1 + case % 6
+        xi, t_set = random_instance(rng, d, rng.randint(d + 1, 9))
+        params = t_set.params
+        pool = [*params, params[0] - 1, params[-1] + Fraction(1, 3),
+                *((a + b) / 2 for a, b in zip(params, params[1:]))]
+        for _ in range(8):
+            s = rng.sample(pool, d)
+            assert outcome(facet_test_lambda, xi, t_set, s) \
+                == outcome(facet_test_lambda_literal, xi, t_set, s), (xi, t_set, s)
 
 
 def test_chart_coefficients_are_signed_elementary_symmetric_sums():
