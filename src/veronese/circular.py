@@ -25,7 +25,6 @@ Labels run 0..n-1 around the circle, starting with arc 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
@@ -35,38 +34,37 @@ from .errors import (
     InvalidDecompositionError,
     UnderdeterminedInstanceError,
 )
-from .facets import FacetComplex
+from .facets import FacetComplex, Value
 from .geometry import Chart, GroundSet, SignedDecomposition, chart_from_decomposition
 
 
-@dataclass(frozen=True)
-class CircularComposition:
-    d: int
-    arcs: tuple
-    dividers: int = field(default=-1)  # -1: derive from d and the arcs
+class CircularComposition(Value):
+    fields = ("d", "arcs", "dividers")
 
-    def __post_init__(self):
-        arcs = tuple(int(m) for m in self.arcs)
+    def __init__(self, d: int, arcs: tuple, dividers: int = -1):
+        # dividers -1: derive from d and the arcs
+        arcs = tuple(int(m) for m in arcs)
         if not arcs or any(m < 1 for m in arcs):
             raise InvalidDecompositionError(f"arc sizes must be positive: {arcs}")
-        if self.d < 1:
-            raise InvalidDecompositionError(f"dimension must be at least 1, got {self.d}")
-        l = len(arcs) if len(arcs) > 1 else self.d % 2
-        if self.dividers not in (-1, l):
+        if d < 1:
+            raise InvalidDecompositionError(f"dimension must be at least 1, got {d}")
+        l = len(arcs) if len(arcs) > 1 else d % 2
+        if dividers not in (-1, l):
             raise InvalidDecompositionError(
-                f"dimension {self.d} and {len(arcs)} arc(s) fix {l} divider(s), "
-                f"got {self.dividers}"
+                f"dimension {d} and {len(arcs)} arc(s) fix {l} divider(s), "
+                f"got {dividers}"
             )
-        if l % 2 != self.d % 2:
+        if l % 2 != d % 2:
             raise InvalidDecompositionError(
-                f"{l} dividers and dimension {self.d} differ in parity"
+                f"{l} dividers and dimension {d} differ in parity"
             )
-        if l > self.d:
-            raise InvalidDecompositionError(f"{l} dividers exceed dimension {self.d}")
-        if sum(arcs) <= self.d:
+        if l > d:
+            raise InvalidDecompositionError(f"{l} dividers exceed dimension {d}")
+        if sum(arcs) <= d:
             raise UnderdeterminedInstanceError(
-                f"need more than d={self.d} points, got {sum(arcs)}"
+                f"need more than d={d} points, got {sum(arcs)}"
             )
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "dividers", l)
 

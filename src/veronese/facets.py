@@ -36,9 +36,8 @@ Positions are 1-based internally (the parity conditions are stated for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, chain
-from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -47,30 +46,61 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class FacetComplex:
+class Value:
+    """An immutable value: equality, hash and repr over the attributes
+    named in ``fields``, as a frozen dataclass gives them.  Assignment
+    raises, so ``__init__`` sets each field with ``object.__setattr__``,
+    as a dataclass does: on CPython 3.11 and later that stores the values
+    without building the instance dict that ``self.__dict__`` would.
+    ``cached_property`` writes the instance ``__dict__`` directly."""
+
+    fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FacetComplex(Value):
     """A set of d-subsets of {0,...,n_labels-1}, stored canonically."""
 
-    n_labels: int
-    d: int
-    facets: tuple
+    fields = ("n_labels", "d", "facets")
 
-    def __post_init__(self):
+    def __init__(self, n_labels: int, d: int, facets: tuple):
         # one C-level pass collects the label types; the culprit is looked
         # for only on failure
         if not all(issubclass(k, int) and k is not bool
-                   for k in set(map(type, chain.from_iterable(self.facets)))):
-            bad = next(v for v in chain.from_iterable(self.facets)
+                   for k in set(map(type, chain.from_iterable(facets)))):
+            bad = next(v for v in chain.from_iterable(facets)
                        if not isinstance(v, int) or isinstance(v, bool))
             raise InvalidIndexError(f"label {bad!r} is not an integer")
-        canon = tuple(sorted(set(tuple(sorted(f)) for f in self.facets)))
+        canon = tuple(sorted(set(tuple(sorted(f)) for f in facets)))
         for f in canon:
-            if len(f) != self.d or len(set(f)) != self.d:
+            if len(f) != d or len(set(f)) != d:
                 raise DimensionMismatchError(
-                    f"facet {f} does not have {self.d} distinct elements"
+                    f"facet {f} does not have {d} distinct elements"
                 )
-            if f and (f[0] < 0 or f[-1] >= self.n_labels):
+            if f and (f[0] < 0 or f[-1] >= n_labels):
                 raise InvalidIndexError(f"facet {f} out of label range")
+        object.__setattr__(self, "n_labels", n_labels)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "facets", canon)
 
     @property
@@ -90,13 +120,10 @@ class FacetComplex:
         )
 
 
-class LineTables(NamedTuple):
-    """The tables both line tests read, indexed by 1-based position p
-    (entry 0 is unused)."""
-
-    interval: tuple  # interval[p], 0-based
-    key: tuple  # the parity key (p + interval[p]) % 2
-    cut: tuple  # the c-th sign change lies between cut[c] and cut[c] + 1
+# The tables both line tests read, indexed by 1-based position p (entry 0
+# is unused): interval[p], 0-based; the parity key (p + interval[p]) % 2;
+# and cut, where the c-th sign change lies between cut[c] and cut[c] + 1.
+LineTables = namedtuple("LineTables", "interval key cut")
 
 
 def build_line_tables(sizes) -> LineTables:
@@ -145,13 +172,16 @@ def enumerate_facets_line(decomposition) -> FacetComplex:
     return FacetComplex(n, d, tuple(facets))
 
 
-@dataclass(frozen=True)
-class S123:
+class S123(Value):
     """Facet certificate: boundary picks, extreme endpoints, pairs."""
 
-    s1: tuple
-    s2: tuple
-    s3: tuple  # tuple of (a, a+1) position pairs
+    fields = ("s1", "s2", "s3")
+
+    def __init__(self, s1: tuple, s2: tuple, s3: tuple):
+        # s3 is a tuple of (a, a+1) position pairs
+        object.__setattr__(self, "s1", s1)
+        object.__setattr__(self, "s2", s2)
+        object.__setattr__(self, "s3", s3)
 
 
 def s123_decompose(decomposition, positions):

@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby
@@ -99,28 +98,28 @@ from .exact import bareiss_step, sign, sign_det
 from .facets import (
     FacetComplex,
     LineTables,
+    Value,
     build_line_tables,
     enumerate_facets_line,
     s123_decompose,
 )
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(Value):
     """Strictly increasing finite parameter set T."""
 
-    params: tuple
+    fields = ("params",)
 
-    def __post_init__(self):
-        ts = tuple(t if type(t) is Fraction else Fraction(t) for t in self.params)
+    def __init__(self, params: tuple):
+        ts = tuple(t if type(t) is Fraction else Fraction(t) for t in params)
         if any(a >= b for a, b in zip(ts, ts[1:])):
             raise InvalidInstanceError("parameters must be strictly increasing")
         object.__setattr__(self, "params", ts)
 
     # Hashing a tuple of Fractions rehashes every Fraction, and the
     # determinant memo hashes its instance on every call, so the hash is
-    # kept.  cached_property writes the instance __dict__ directly,
-    # which a frozen dataclass allows.
+    # kept.  cached_property writes the instance __dict__ directly, past
+    # the __setattr__ that makes a Value immutable.
     @cached_property
     def _hash(self) -> int:
         return hash((self.params,))
@@ -133,14 +132,13 @@ class GroundSet:
         return len(self.params)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Value):
     """Coefficient vector xi of the denominator polynomial, length d+1."""
 
-    coords: tuple
+    fields = ("coords",)
 
-    def __post_init__(self):
-        cs = tuple(x if type(x) is Fraction else Fraction(x) for x in self.coords)
+    def __init__(self, coords: tuple):
+        cs = tuple(x if type(x) is Fraction else Fraction(x) for x in coords)
         if not cs or all(x == 0 for x in cs):
             raise InvalidChartError("chart must be nonzero")
         object.__setattr__(self, "coords", cs)
@@ -164,26 +162,25 @@ class Chart:
         return len(self.coords) - 1
 
 
-@dataclass(frozen=True)
-class SignedDecomposition:
+class SignedDecomposition(Value):
     """Maximal constant-sign intervals of q over T: sizes and the sign
     of the first interval.  Signs alternate, so one sign determines all."""
 
-    sizes: tuple
-    first_sign: int
-    d: int
+    fields = ("sizes", "first_sign", "d")
 
-    def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+    def __init__(self, sizes: tuple, first_sign: int, d: int):
+        sizes = tuple(int(s) for s in sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise InvalidDecompositionError(f"interval sizes must be positive: {sizes}")
-        if self.first_sign not in (1, -1):
-            raise InvalidDecompositionError(f"first_sign must be +-1: {self.first_sign}")
-        if len(sizes) - 1 > self.d:
+        if first_sign not in (1, -1):
+            raise InvalidDecompositionError(f"first_sign must be +-1: {first_sign}")
+        if len(sizes) - 1 > d:
             raise InvalidDecompositionError(
-                f"{len(sizes) - 1} sign changes exceed dimension {self.d}"
+                f"{len(sizes) - 1} sign changes exceed dimension {d}"
             )
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "first_sign", first_sign)
+        object.__setattr__(self, "d", d)
 
     @cached_property
     def line_tables(self) -> LineTables:

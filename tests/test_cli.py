@@ -553,3 +553,18 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
     for argv, got, want in zip(argvs, shared, fresh):
         assert got == want, argv
     assert {code for code, _, _ in fresh} == {0, 2}
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S too, so no site hook preloads typing; the stdlib modules named
+    # here would add about half of a fresh process's startup
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import veronese.cli\n"
+            "veronese.cli.build_parser()\n"
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'typing'}"
+            " & (set(sys.modules) - before))))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c",
+                           f"import sys; sys.path.insert(0, {SRC!r})\n" + code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == []

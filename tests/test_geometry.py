@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import veronese.geometry as geometry
 from veronese import (
+    S123,
     Chart,
+    CircularComposition,
     CrossCheckError,
     DimensionMismatchError,
+    FacetComplex,
     GroundSet,
     InvalidDecompositionError,
     InvalidInstanceError,
@@ -554,3 +557,48 @@ def test_chart_coefficients_are_signed_elementary_symmetric_sums():
         if (q_eval(want, t_set.params[0]) > 0) != (dec.first_sign > 0):
             want = Chart(tuple(-c for c in want.coords))
         assert chart_from_decomposition(dec, t_set) == want, (dec, t_set)
+
+
+
+
+# each value object, its fields in order and its repr
+VALUES = [
+    (GroundSet((1, 2)), ("params",),
+     "GroundSet(params=(Fraction(1, 1), Fraction(2, 1)))"),
+    (Chart((0, Fraction(1, 2))), ("coords",),
+     "Chart(coords=(Fraction(0, 1), Fraction(1, 2)))"),
+    (SignedDecomposition((2, 1), -1, 3), ("sizes", "first_sign", "d"),
+     "SignedDecomposition(sizes=(2, 1), first_sign=-1, d=3)"),
+    (CircularComposition(3, (1, 2, 1)), ("d", "arcs", "dividers"),
+     "CircularComposition(d=3, arcs=(1, 2, 1), dividers=3)"),
+    (FacetComplex(3, 2, ((2, 0), (0, 1))), ("n_labels", "d", "facets"),
+     "FacetComplex(n_labels=3, d=2, facets=((0, 1), (0, 2)))"),
+    (S123((1,), (), ((2, 3),)), ("s1", "s2", "s3"),
+     "S123(s1=(1,), s2=(), s3=((2, 3),))"),
+]
+
+
+@pytest.mark.parametrize("value, names, text", VALUES,
+                         ids=[type(v).__name__ for v, _, _ in VALUES])
+def test_value_objects_keep_frozen_dataclass_semantics(value, names, text):
+    assert repr(value) == text
+    fields = {f: getattr(value, f) for f in names}
+    twin = type(value)(**fields)
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert value != tuple(fields.values())
+    assert value.__eq__(tuple(fields.values())) is NotImplemented
+    for f in names:
+        with pytest.raises(AttributeError):
+            setattr(value, f, None)
+        with pytest.raises(AttributeError):
+            delattr(value, f)
+    with pytest.raises(AttributeError):
+        value.other = None
+    assert {f: getattr(value, f) for f in names} == fields
+
+
+def test_equal_distinct_instance_hits_the_determinant_memo():
+    t_set, xi = GroundSet((1, 2, 3)), Chart((1, 0, 1))
+    facet_test_determinant(xi, t_set, (1, 2))
+    facet_test_determinant(Chart((1, 0, 1)), GroundSet((1, 2, 3)), (1, 2))
+    assert geometry._determinant_memo.cache_info()[:2] == (1, 1)
