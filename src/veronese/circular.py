@@ -5,20 +5,25 @@ between consecutive arcs are the dividers.  Their number l has the
 parity of d, so d and the arcs fix it: one divider per arc for two or
 more arcs, and l = d mod 2 for a single arc, whose one divider (odd d)
 sits between its last point and its first.  Facets pick one point per
-divider plus disjoint consecutive pairs, which makes both facet
-enumeration and the closed facet-count formula purely combinatorial.
+divider plus disjoint consecutive pairs.
 
-Both walk the same divider states.  Number the arcs 0..l-1; divider j,
-between arc j and arc j+1 (cyclically), picks the last point of arc j
-(state 0) or the first point of arc j+1 (state 1).  An arc of m points
-between dividers in states (a, b) loses p = [a = 1] + [b = 0] end points
-to them (p > m would pick a point twice), and k disjoint consecutive
-pairs fit on the other m - p points in C(m - p - k, k) ways, pair i
-starting at c_i + i for a k-subset c of range(m - p - k).
-``facet_count`` sums these with a transfer matrix, and
-``enumerate_facets_circular`` lists them arc by arc without recursion.
-Every facet is such a configuration and the paper counts as many facets
-as configurations, so each facet comes out once.
+By the paper's bijection a composition has the facets of any line
+decomposition that induces it.  ``enumerate_facets_circular`` takes the
+one with the arcs as intervals: its k = len(arcs) - 1 sign changes make
+d - k odd for two or more arcs, and k = 0 for one, so
+``induce_composition`` returns the arcs unchanged and the labels need
+no remapping.  The facets are then the complements of the sigma-PA
+sequences, listed by ``facets.enumerate_facets_line``.
+
+``facet_count`` counts the divider picks and pairs directly.  Number
+the arcs 0..l-1; divider j, between arc j and arc j+1 (cyclically),
+picks the last point of arc j (state 0) or the first point of arc j+1
+(state 1).  An arc of m points between dividers in states (a, b) loses
+p = [a = 1] + [b = 0] end points to them (p > m would pick a point
+twice), and k disjoint consecutive pairs fit on the other m - p points
+in C(m - p - k, k) ways.  Every facet is such a configuration and the
+paper counts as many facets as configurations, so the sum over the
+states is the facet count.
 
 Labels run 0..n-1 around the circle, starting with arc 0.
 """
@@ -26,16 +31,12 @@ Labels run 0..n-1 around the circle, starting with arc 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidDecompositionError,
-    UnderdeterminedInstanceError,
-)
-from .facets import FacetComplex, Value
-from .geometry import Chart, GroundSet, SignedDecomposition, chart_from_decomposition
+from .errors import InvalidDecompositionError, UnderdeterminedInstanceError
+from .facets import FacetComplex, Value, enumerate_facets_line
+from .geometry import GroundSet, SignedDecomposition, chart_from_decomposition
 
 
 class CircularComposition(Value):
@@ -114,65 +115,10 @@ def canonical_arcs(c: CircularComposition) -> CircularComposition:
     return CircularComposition(c.d, dihedral_min(c.arcs))
 
 
-def _pairs(lo, length, k):
-    """Label tuples of k disjoint consecutive pairs in the run of
-    length labels from lo, pair i starting at lo + c_i + i."""
-    return [tuple(x for i, s in enumerate(c) for x in (lo + s + i, lo + s + i + 1))
-            for c in combinations(range(length - k), k)]
-
-
 def enumerate_facets_circular(c: CircularComposition) -> FacetComplex:
-    """All d-subsets picking one point per divider (all distinct) plus
-    (d-l)/2 pairwise disjoint consecutive pairs, by a walk over the
-    divider states that ``facet_count`` counts."""
-    n, d, l = c.n, c.d, c.l
-    if n <= d:
-        raise UnderdeterminedInstanceError(
-            f"need more than d={d} points, got {n}"
-        )
-    r = (d - l) // 2
-    if l == 0:
-        # the path 0..n-1 holds r pairs, or the wrap pair (n-1, 0) and
-        # the path 1..n-2 holds the other r-1
-        wrapped = [(0, *pairs, n - 1) for pairs in _pairs(1, n - 2, r - 1)]
-        return FacetComplex(n, d, tuple(_pairs(0, n, r) + wrapped))
-    arcs = c.arcs
-    facets = []
-    for closing in (0, 1):  # the state of divider l-1, before arc 0
-        # room[j][b]: the most pairs arcs j+1, ..., l-1 can hold when
-        # divider j is in state b and the walk closes; -1 if it cannot
-        room = [None] * (l - 1) + [(0, -1) if closing == 0 else (-1, 0)]
-        for j in range(l - 1, 0, -1):
-            # divider j-1 in state a leaves arc j m - p points, p = a + 1 - b
-            m, (to0, to1) = arcs[j], room[j]
-            room[j - 1] = tuple(
-                max((m - a - 1) // 2 + to0 if to0 >= 0 and a < m else -1,
-                    (m - a) // 2 + to1 if to1 >= 0 else -1)
-                for a in (0, 1))
-        # depth-first; a stack entry is the next arc, its first label,
-        # the state of the divider before it, the pairs still to place,
-        # and the labels the previous arc adds at the given depth of the
-        # shared prefix.  Every entry pushed completes to a facet: the
-        # k pairs on arc j leave at most room[j][b] for the rest, and
-        # p > m or a room of -1 leaves no k at all.
-        labels, stack = [], [(0, 0, closing, r, 0, ())]
-        while stack:
-            j, lo, a, left, depth, chunk = stack.pop()
-            del labels[depth:]
-            labels += chunk
-            m, depth, last = arcs[j], len(labels), j + 1 == l
-            head = (lo,) if a else ()
-            for b, most in enumerate(room[j]):
-                p = a + 1 - b  # arc j's end points taken by its dividers
-                tail = () if b else (lo + m - 1,)
-                for k in range(max(0, left - most), min(left, (m - p) // 2) + 1):
-                    for pairs in _pairs(lo + a, m - p, k) if k else ((),):
-                        if last:
-                            facets.append((*labels, *head, *pairs, *tail))
-                        else:
-                            stack.append((j + 1, lo + m, b, left - k, depth,
-                                          head + pairs + tail))
-    return FacetComplex(n, d, tuple(facets))
+    """The facets of c, listed on the line decomposition with c's arcs
+    as intervals, whose labels are c's (see the module docstring)."""
+    return enumerate_facets_line(SignedDecomposition(c.arcs, 1, c.d))
 
 
 def vertex_set(c: CircularComposition) -> tuple:

@@ -85,6 +85,14 @@ def _reference(kind: str, d: int, nv: int) -> CircularComposition:
     return induce_composition(SignedDecomposition(sizes, 1, d))
 
 
+def _same_type(c: CircularComposition, kind: str) -> bool:
+    """Whether c's facet complex has the certificate of the reference
+    type of this kind on as many vertices."""
+    reference = _reference(kind, c.d, len(vertex_set(c)))
+    return certificate(enumerate_facets_circular(c)) == \
+        certificate(enumerate_facets_circular(reference))
+
+
 def is_stacked_family(c: CircularComposition) -> bool:
     """Membership in the one known stacked family: all but one interval
     a singleton on the line.  Not a general stackedness test.
@@ -94,18 +102,14 @@ def is_stacked_family(c: CircularComposition) -> bool:
     """
     if c.d < 3:
         raise DomainError(f"stacked types need d >= 3, got d={c.d}")
-    reference = _reference("stacked", c.d, len(vertex_set(c)))
-    return certificate(enumerate_facets_circular(c)) == \
-        certificate(enumerate_facets_circular(reference))
+    return _same_type(c, "stacked")
 
 
 def is_cyclic_type(c: CircularComposition) -> bool:
     """The certificate oracle for the `cyclic` flag: compare certificates
     with the cyclic polytope on the same number of vertices (dividerless
     for even d, one divider for odd d)."""
-    reference = _reference("cyclic", c.d, len(vertex_set(c)))
-    return certificate(enumerate_facets_circular(c)) == \
-        certificate(enumerate_facets_circular(reference))
+    return _same_type(c, "cyclic")
 
 
 def _neighbourly(fc: FacetComplex, verts, k: int) -> bool:

@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from .canonical import certificate, table_report
 from .circular import (
@@ -205,7 +204,11 @@ def _cmd_enumerate(args):
 
 def _cmd_certify(args):
     try:
-        raw = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
+        if args.file == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(args.file) as fh:
+                raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from exc
     try:

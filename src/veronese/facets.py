@@ -30,6 +30,17 @@ sign change, so away from positions 1 and n at most one role of an
 element survives its first node; the search visits at most 2d+1 nodes
 (checked on every decomposition with d <= 7, n <= 10).
 
+``enumerate_facets_line`` builds the facets point by point, depth first
+on an explicit stack.  Each step places the next facet point q and sends
+the run of positions before it to the complement, as long as the run
+keeps the complement alternating; the first break in the run ends the
+step, since every later q would contain it.  A branch ends at once when
+either side is full.  A full complement sends the rest of the line to
+the facet.  A full facet sends the rest to the complement, which then
+alternates iff the rest starts with a key other than the complement's
+last and no sign change lies inside it.  Every entry costs O(d) and a
+branch holds at most d + 1 of them, however long the line.
+
 Positions are 1-based internally (the parity conditions are stated for
 1-based sequences); everything exported through JSON is 0-based.
 """
@@ -149,26 +160,35 @@ def is_sigma_pa(decomposition, positions) -> bool:
 
 def enumerate_facets_line(decomposition) -> FacetComplex:
     """All facets of the polytope whose chart induces the decomposition,
-    found as complements of alternating sequences of length n-d."""
-    key = decomposition.line_tables.key
+    found as complements of alternating sequences of length n-d (see the
+    module docstring)."""
+    _, key, cut = decomposition.line_tables
     d, n = decomposition.d, len(key) - 1
     if n <= d:
         raise UnderdeterminedInstanceError(
             f"need more than d={d} generating points, got {n}"
         )
-    target = n - d
-    complements, stack = [], [()]
+    # a stack entry is (facet, last, prev): positions up to last are
+    # placed, the facet holds the 0-based labels of its own, and prev is
+    # the complement's last position (0 before the first; key[0] is None)
+    end = cut[-1] if cut else 0
+    facets, stack = [], [((), 0, 0)]
     while stack:
-        seq = stack.pop()
-        if len(seq) == target:
-            complements.append(seq)
+        facet, last, prev = stack.pop()
+        if len(facet) == d:  # facet full: the rest joins the complement
+            if key[last + 1] != key[prev] and end <= last:
+                facets.append(facet)
             continue
-        # feasibility: enough positions left to finish the sequence
-        for p in range(seq[-1] + 1 if seq else 1, n - (target - len(seq)) + 2):
-            if not seq or key[p] != key[seq[-1]]:
-                stack.append(seq + (p,))
-    full = set(range(1, n + 1))
-    facets = [tuple(q - 1 for q in sorted(full.difference(c))) for c in complements]
+        top = n - d + len(facet) + 1  # a facet point past top overfills the complement
+        for q in range(last + 1, top + 1):
+            if q > last + 1:  # q - 1 joins the complement after prev
+                if key[q - 1] == key[prev]:
+                    break
+                prev = q - 1
+            if q == top:  # complement full: the rest joins the facet
+                facets.append(facet + tuple(range(q - 1, n)))
+            else:
+                stack.append((facet + (q - 1,), q, prev))
     return FacetComplex(n, d, tuple(facets))
 
 

@@ -21,6 +21,10 @@ tables kept on the decomposition replaced.  rat_literal is the string
 parser that sent every string to Fraction, which the int fast path for
 "p" and "p/q" replaced.  elementary_symmetric and lambda_eval were library
 functions that no library code called any more, kept as oracles.
+enumerate_facets_line_literal is the complement walk that the
+facet-carrying walk replaced, and enumerate_facets_circular_walk_literal
+the walk over divider states that listed composition facets before the
+line enumerator served them.
 """
 
 from fractions import Fraction
@@ -628,7 +632,7 @@ def enumerate_facets_circular_literal(c) -> FacetComplex:
     """All d-subsets picking one point per divider (all distinct) plus
     (d-l)/2 pairwise disjoint consecutive pairs, by a recursive search
     over the divider picks and then over the pairs, deduplicated in a
-    set: the oracle for the divider-state walk."""
+    set: the oracle for the composition facets."""
     n, d, l = c.n, c.d, c.l
     if n <= d:
         raise UnderdeterminedInstanceError(
@@ -658,6 +662,95 @@ def enumerate_facets_circular_literal(c) -> FacetComplex:
 
     choose_divider(0, [])
     return FacetComplex(n, d, tuple(tuple(sorted(f)) for f in facets))
+
+
+def enumerate_facets_line_literal(decomposition) -> FacetComplex:
+    """All facets of the polytope whose chart induces the decomposition,
+    found as complements of alternating sequences of length n-d: the
+    walk whose stack entries hold the complement prefix, which the
+    facet-carrying walk replaced."""
+    key = decomposition.line_tables.key
+    d, n = decomposition.d, len(key) - 1
+    if n <= d:
+        raise UnderdeterminedInstanceError(
+            f"need more than d={d} generating points, got {n}"
+        )
+    target = n - d
+    complements, stack = [], [()]
+    while stack:
+        seq = stack.pop()
+        if len(seq) == target:
+            complements.append(seq)
+            continue
+        # feasibility: enough positions left to finish the sequence
+        for p in range(seq[-1] + 1 if seq else 1, n - (target - len(seq)) + 2):
+            if not seq or key[p] != key[seq[-1]]:
+                stack.append(seq + (p,))
+    full = set(range(1, n + 1))
+    facets = [tuple(q - 1 for q in sorted(full.difference(c))) for c in complements]
+    return FacetComplex(n, d, tuple(facets))
+
+
+def _pairs(lo, length, k):
+    """Label tuples of k disjoint consecutive pairs in the run of
+    length labels from lo, pair i starting at lo + c_i + i."""
+    return [tuple(x for i, s in enumerate(c) for x in (lo + s + i, lo + s + i + 1))
+            for c in combinations(range(length - k), k)]
+
+
+def enumerate_facets_circular_walk_literal(c: CircularComposition) -> FacetComplex:
+    """All d-subsets picking one point per divider (all distinct) plus
+    (d-l)/2 pairwise disjoint consecutive pairs, by a walk over the
+    divider states that ``facet_count`` counts: the library's enumerator
+    before compositions were served by the line enumerator."""
+    n, d, l = c.n, c.d, c.l
+    if n <= d:
+        raise UnderdeterminedInstanceError(
+            f"need more than d={d} points, got {n}"
+        )
+    r = (d - l) // 2
+    if l == 0:
+        # the path 0..n-1 holds r pairs, or the wrap pair (n-1, 0) and
+        # the path 1..n-2 holds the other r-1
+        wrapped = [(0, *pairs, n - 1) for pairs in _pairs(1, n - 2, r - 1)]
+        return FacetComplex(n, d, tuple(_pairs(0, n, r) + wrapped))
+    arcs = c.arcs
+    facets = []
+    for closing in (0, 1):  # the state of divider l-1, before arc 0
+        # room[j][b]: the most pairs arcs j+1, ..., l-1 can hold when
+        # divider j is in state b and the walk closes; -1 if it cannot
+        room = [None] * (l - 1) + [(0, -1) if closing == 0 else (-1, 0)]
+        for j in range(l - 1, 0, -1):
+            # divider j-1 in state a leaves arc j m - p points, p = a + 1 - b
+            m, (to0, to1) = arcs[j], room[j]
+            room[j - 1] = tuple(
+                max((m - a - 1) // 2 + to0 if to0 >= 0 and a < m else -1,
+                    (m - a) // 2 + to1 if to1 >= 0 else -1)
+                for a in (0, 1))
+        # depth-first; a stack entry is the next arc, its first label,
+        # the state of the divider before it, the pairs still to place,
+        # and the labels the previous arc adds at the given depth of the
+        # shared prefix.  Every entry pushed completes to a facet: the
+        # k pairs on arc j leave at most room[j][b] for the rest, and
+        # p > m or a room of -1 leaves no k at all.
+        labels, stack = [], [(0, 0, closing, r, 0, ())]
+        while stack:
+            j, lo, a, left, depth, chunk = stack.pop()
+            del labels[depth:]
+            labels += chunk
+            m, depth, last = arcs[j], len(labels), j + 1 == l
+            head = (lo,) if a else ()
+            for b, most in enumerate(room[j]):
+                p = a + 1 - b  # arc j's end points taken by its dividers
+                tail = () if b else (lo + m - 1,)
+                for k in range(max(0, left - most), min(left, (m - p) // 2) + 1):
+                    for pairs in _pairs(lo + a, m - p, k) if k else ((),):
+                        if last:
+                            facets.append((*labels, *head, *pairs, *tail))
+                        else:
+                            stack.append((j + 1, lo + m, b, left - k, depth,
+                                          head + pairs + tail))
+    return FacetComplex(n, d, tuple(facets))
 
 
 def _binom(n, k):

@@ -22,11 +22,12 @@ from veronese import (
     vertex_set,
 )
 
-from veronese import circular
+from veronese import facets as facets_module
 
 from helpers import (
     _compositions_nonneg,
     enumerate_facets_circular_literal,
+    enumerate_facets_circular_walk_literal,
     facet_count_literal,
     random_composition,
     random_decomposition,
@@ -250,12 +251,13 @@ def test_walk_matches_literal_search(monkeypatch):
         handed.append(facets)
         return FacetComplex(n, d, facets)
 
-    monkeypatch.setattr(circular, "FacetComplex", spy)
+    monkeypatch.setattr(facets_module, "FacetComplex", spy)
     for c in _walk_cases():
-        assert enumerate_facets_circular(c).facets == \
-            enumerate_facets_circular_literal(c).facets, c
-        # the walk hands over each facet once, sorted: nothing to dedupe
+        got = enumerate_facets_circular(c).facets
+        # the line walk hands over each facet once, sorted: nothing to dedupe
         facets = handed.pop()
+        assert got == enumerate_facets_circular_walk_literal(c).facets \
+            == enumerate_facets_circular_literal(c).facets, c
         assert len(facets) == len(set(facets)) == facet_count(c), c
         assert all(list(f) == sorted(f) for f in facets), c
 

@@ -562,7 +562,7 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
             "before = set(sys.modules)\n"
             "import veronese.cli\n"
             "veronese.cli.build_parser()\n"
-            "print(' '.join(sorted({'dataclasses', 'inspect', 'typing'}"
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'}"
             " & (set(sys.modules) - before))))\n")
     done = subprocess.run([sys.executable, "-I", "-S", "-c",
                            f"import sys; sys.path.insert(0, {SRC!r})\n" + code],

@@ -18,8 +18,10 @@ from veronese import (
 from veronese.facets import build_line_tables
 
 from helpers import (
+    enumerate_facets_line_literal,
     exhaustive_s123,
     gale_evenness_even,
+    outcome,
     random_decomposition,
     s123_decompose_literal,
 )
@@ -103,6 +105,22 @@ def test_enumerate_facets_line_on_many_points():
 def test_enumerate_facets_line_underdetermined():
     with pytest.raises(UnderdeterminedInstanceError):
         enumerate_facets_line(SignedDecomposition((2, 2), 1, 4))
+
+
+def test_enumerate_facets_line_matches_literal():
+    # every decomposition with d <= 6 and n <= 10, both first signs,
+    # underdetermined ones included: same facets, same exceptions
+    cases = 0
+    for d in range(7):
+        for n in range(1, 11):
+            for k in range(min(d, n - 1) + 1):
+                for cuts, sign in product(combinations(range(1, n), k), (1, -1)):
+                    sizes = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+                    dec = SignedDecomposition(sizes, sign, d)
+                    assert outcome(enumerate_facets_line, dec) \
+                        == outcome(enumerate_facets_line_literal, dec), dec
+                    cases += 1
+    assert cases == 6152
 
 
 def test_s123_examples():

@@ -14,19 +14,35 @@ On six subsets per instance it also compares ``facet_test_lambda`` and
 of T, and two with one value moved off T, to the midpoint of a gap of
 T or one past an end of T.
 
-The seed and the ranges were fixed before the test first ran.  A
+Formula: criterion 3 checks ``facet_count`` against the enumerated
+facets for d 2..7 and n <= 12.  ``test_formula_beyond_criterion_3``
+draws, from random.Random(2424), d uniform in 8..30 and n uniform in
+d+1..d+12, and a composition by ``helpers.random_composition`` (the
+divider count uniform over those of d's parity that fit, the cuts
+uniform).  A draw whose ``facet_count`` is 10**5 or more is drawn
+again; the first 20 others must have ``facet_count`` equal to the
+number of facets ``enumerate_facets_circular`` lists.
+
+The seeds and the ranges were fixed before the tests first ran.  A
 failure is a finding: its instance is kept as a named case here and
 reported in CHANGES.md.
 """
 
 import random
 
-from veronese import cross_check, facet_test_determinant, facet_test_lambda
+from veronese import (
+    cross_check,
+    enumerate_facets_circular,
+    facet_count,
+    facet_test_determinant,
+    facet_test_lambda,
+)
 
 from helpers import (
     facet_test_determinant_literal,
     facet_test_lambda_literal,
     outcome,
+    random_composition,
     random_instance,
 )
 
@@ -50,3 +66,16 @@ def test_four_way_beyond_criterion_2():
                                        facet_test_determinant_literal)):
                     assert outcome(test, xi, t_set, s) \
                         == outcome(literal, xi, t_set, s), (xi, t_set, s, test)
+
+
+def test_formula_beyond_criterion_3():
+    rng = random.Random(2424)
+    checked = 0
+    while checked < 20:
+        d = rng.randint(8, 30)
+        c = random_composition(rng, d, rng.randint(d + 1, d + 12))
+        count = facet_count(c)
+        if count >= 10**5:
+            continue
+        assert len(enumerate_facets_circular(c).facets) == count, c
+        checked += 1
