@@ -13,12 +13,15 @@ first block), so a change that alters outputs shows in the report.
 The summary gives, per end-to-end metric of BENCHMARK.json, the parent's
 median and quartiles (statistics.quantiles, n=4), the change's median
 and the pairs each side won (a tie goes to neither), and the failed
-operations per side.
+operations per side.  After the pairs, each tree makes one traced run
+(--trace 1) on the first seed, and "trace" holds the per-layer metrics
+of both, per repetition of the seed's first block, as perfbench/run.py
+reports them.
 
-A run that exits nonzero or whose result does not say "correct": true
-ends the session: its side, seed and exit code or failed operations, and
-the tail of its stderr, go to stderr, the pairs already done are printed
-as above, and the script exits 1.
+A run, traced or not, that exits nonzero or whose result does not say
+"correct": true ends the session: its side, seed and exit code or failed
+operations, and the tail of its stderr, go to stderr, the pairs already
+done are printed as above with no "trace", and the script exits 1.
 """
 
 import argparse
@@ -35,9 +38,9 @@ class RunFailed(Exception):
     pass
 
 
-def run(tree, workload, seed, seconds):
+def run(tree, workload, seed, seconds, trace=0):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     tail = "\n".join(out.stderr.splitlines()[-20:])
     if out.returncode != 0:
@@ -90,8 +93,20 @@ def main():
         same = {key: runs["parent"]["detail"][key] == runs["change"]["detail"][key]
                 for key in ("reference_digest", "block0_digest")}
         pairs.append({"seed": seed, "first": order[0], "same_digests": same, **runs})
+    trace = None
+    if status == 0:
+        trace = {"seed": args.seeds[0]}
+        try:
+            for side in ("parent", "change"):
+                metrics = run(getattr(args, side), args.workload, args.seeds[0],
+                              args.seconds, trace=1)["result"]["metrics"]
+                trace[side] = {name: m["value"] for name, m in metrics.items()}
+        except RunFailed as failure:
+            print(f"{side} traced run failed: {failure}", file=sys.stderr)
+            status, trace = 1, None
     print(json.dumps({"workload": args.workload, "seconds": args.seconds,
-                      "summary": summary(pairs) if pairs else None, "pairs": pairs}))
+                      "summary": summary(pairs) if pairs else None, "pairs": pairs,
+                      "trace": trace}))
     return status
 
 

@@ -51,8 +51,21 @@ subtree under another, with the same set of leaf encodings.
   the least vertex of its target cell, which leaves the rest of such a
   chain joined, where a star from the least member would lose every
   generator.  The seeds are true automorphisms, so they too skip only
-  subtrees whose encodings are seen elsewhere: on a simplex's boundary
-  the search is one path.
+  subtrees whose encodings are seen elsewhere.
+* Twin leaves: a node whose non-singleton cells each lie inside one
+  twin class is not refined further; its first leaf is written
+  directly.  Take u and w in one such cell; their labels are equal.
+  The transposition (u w) is an automorphism that fixes every other
+  vertex, so it keeps every label, and individualizing any v outside
+  {u, w} leaves u and w with equal signatures: no refinement on the
+  way down splits a cell.  So the first leaf gives each cell's members,
+  in sorted order, labels L-m+1, ..., L-1, with L the cell's label and
+  m its size, the last member keeping L, and its prefix is the node's
+  with those peeled vertices appended, cell by cell in label order.
+  Every other leaf below the node differs from it by a product of twin
+  transpositions, which fixes the node's prefix, so all of them have
+  its encoding.  On a simplex's boundary the root's one cell is a twin
+  class, and the search makes the root's refinement only.
 
 The search is a loop over `path`, the inner nodes of the current branch,
 one per depth, so no call frame is taken per level.  Each node keeps
@@ -64,8 +77,9 @@ the path after the back-jump, since each of their prefixes is part of
 the prefix the two leaves share; it is stored as the map of the
 vertices it moves.
 
-Only subtrees whose encodings were already seen are skipped, so the
-minimal encoding, and with it every certificate byte, is unchanged.
+Only subtrees whose encodings were already seen, or are the encoding of
+the twin leaf written for them, are skipped, so the minimal encoding,
+and with it every certificate byte, is unchanged.
 """
 
 from __future__ import annotations
@@ -185,14 +199,27 @@ def certificate(fc: FacetComplex) -> bytes:
     labels, prints = [n - 1] * n, [()] * len(facets)
     cells = {n - 1: list(range(n))} if n > 1 else {}
     _refine(facets, incidence, labels, cells, prints, range(n))
+    seeds, twin = _twins(facets, incidence, cells), list(range(n))
+    for u, v in seeds:  # each chain's seeds come in sorted order
+        twin[v] = twin[u]
     best, path = None, []  # the minimal encoding; one inner node per depth
-    node = labels, cells, prints, (), _twins(facets, incidence, cells)
+    node = labels, cells, prints, (), seeds
     while node is not None:
         labels, cells, prints, prefix, fixing = node
-        if cells:
+        if any(len({twin[v] for v in members}) > 1 for members in cells.values()):
             path.append((labels, cells, prints, prefix, fixing, {},
                          iter(sorted(cells[min(cells)])), []))
         else:
+            # every open cell is a twin class: write the node's first leaf
+            peeled = []
+            for label in sorted(cells):
+                members = sorted(cells[label])
+                for position, v in enumerate(members[:-1], label - len(members) + 1):
+                    labels[v] = position
+                peeled += members[:-1]
+            for i in {i for v in peeled for i in incidence[v]}:
+                prints[i] = tuple(sorted([labels[v] for v in facets[i]]))
+            prefix += tuple(peeled)
             enc = tuple(sorted(prints))
             if best is None or enc < best:
                 best, best_labels, best_prefix = enc, labels, prefix

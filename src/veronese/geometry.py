@@ -61,8 +61,10 @@ chi(U) is the sign of the one entry left in R(U), kept in the same
 dict under U.  Python hashes an int modulo 2^61 - 1, so 2^i and
 2^(i+61) hash alike, and past 61 parameters masks that agree bit for
 bit modulo 61 would share a hash: a scan at d = 1 would pile up about
-n^2/3800 keys per hash.  There the memo keys a mask by its bytes
-instead.  A pivot is a leading minor of the rows, a homogeneous
+n^2/3800 keys per hash.  There the memo keys a mask by its at most d+1
+member indices packed into one int, n.bit_length() bits apiece and each
+plus one so that no field is 0: a key of O(d log n) bits, not n bits.
+A pivot is a leading minor of the rows, a homogeneous
 Vandermonde determinant up to sign, so it is nonzero for distinct
 parameters; if one is 0 all the same, chi(U) falls back to
 ``sign_det`` on U's rows.  A full scan of the d-subsets thus makes at
@@ -289,8 +291,8 @@ def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
     the elimination memo) of the instance.  The memo maps the bit mask
     K of at most d indices to the reduced row R(K) (None if a pivot on
     the way is 0), and a mask U of d+1 indices to chi(U) =
-    sign det(rows(U)); past 61 parameters a mask is keyed by its bytes
-    (see the module docstring).  _reduced fills it.  Raises
+    sign det(rows(U)); past 61 parameters a mask is keyed by its packed
+    member indices (see the module docstring).  _reduced fills it.  Raises
     InvalidInstanceError, which lru_cache does not keep, if the chart
     vanishes on T."""
     rows = _curve_rows(xi, t_set)
@@ -299,7 +301,7 @@ def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
 
 def _reduced(memo: dict, rows, key: int):
     """The memo's entry for key, made once and kept under key (under its
-    bytes past 61 parameters): chi(key) if key has d+1 indices, else
+    packed indices past 61 parameters): chi(key) if key has d+1 indices, else
     R(key).  R(key) is row top = max(key) after one Bareiss step against
     the pivot row R(key - {top}), both rows made by the step that pivots
     on R(key - {top, below}), below the next index down; it is None if
@@ -309,7 +311,13 @@ def _reduced(memo: dict, rows, key: int):
     elimination does not read again.  chi is the sign of the one entry
     left in R(key), or sign_det of the rows of key if a pivot is 0."""
     n = len(rows)
-    slot = key if n <= 61 else key.to_bytes((n + 7) >> 3, "little")
+    slot = key
+    if n > 61:
+        slot, width, members = 0, n.bit_length(), key
+        while members:
+            top = members.bit_length() - 1
+            slot = slot << width | top + 1
+            members ^= 1 << top
     entry = memo.get(slot)
     if entry is not None:
         return entry

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py keeps the pairs it has when a run fails, fails
-on a run that is not correct, and compares the two trees' digests."""
+on a run that is not correct, compares the two trees' digests and adds
+one traced run per tree."""
 
 import json
 import subprocess
@@ -43,6 +44,7 @@ def test_failed_run_reports_its_side_seed_and_stderr(tmp_path):
     report = json.loads(out.stdout)
     assert [pair["seed"] for pair in report["pairs"]] == [1]
     assert report["summary"]["failed"] == {"parent": 0, "change": 0}
+    assert report["trace"] is None
 
 
 def test_run_that_is_not_correct_fails_the_session(tmp_path):
@@ -71,3 +73,39 @@ def test_pairs_report_whether_the_digests_agree(tmp_path):
         {"reference_digest": True, "block0_digest": True},
         {"reference_digest": True, "block0_digest": False},
     ]
+
+
+def _layers(calls):
+    """A run.py body that answers --trace 1 with one per-layer metric."""
+    traced = {**RESULT, "metrics": {"canonical.certificate.calls": {"value": calls}}}
+    return ("if sys.argv[sys.argv.index('--trace') + 1] == '1':\n"
+            "    assert sys.argv[sys.argv.index('--seed') + 1] == '4'\n"
+            f"    print(json.dumps({DETAIL!r}))\n"
+            f"    print(json.dumps({traced!r}))\n"
+            "    sys.exit(0)\n")
+
+
+def test_one_traced_run_per_tree_on_the_first_seed(tmp_path):
+    parent = _tree(tmp_path / "parent", _layers(3.0))
+    change = _tree(tmp_path / "change", _layers(2.0))
+    out = _pairs(parent, change, 4, 9)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert [pair["seed"] for pair in report["pairs"]] == [4, 9]
+    assert report["trace"] == {"seed": 4,
+                               "parent": {"canonical.certificate.calls": 3.0},
+                               "change": {"canonical.certificate.calls": 2.0}}
+
+
+def test_failed_traced_run_fails_the_session(tmp_path):
+    parent = _tree(tmp_path / "parent", (
+        "if sys.argv[sys.argv.index('--trace') + 1] == '1':\n"
+        "    print('no tracer', file=sys.stderr)\n"
+        "    sys.exit(4)\n"))
+    change = _tree(tmp_path / "change", "")
+    out = _pairs(parent, change, 6)
+    assert out.returncode == 1
+    assert "parent traced run failed: seed 6 exited 4" in out.stderr
+    report = json.loads(out.stdout)
+    assert [pair["seed"] for pair in report["pairs"]] == [6]
+    assert report["trace"] is None

@@ -139,6 +139,13 @@ def _symmetric_complexes():
         yield f"cycles-{sizes}", _disjoint_cycles(*sizes)
     for k in (1, 2, 5, 12):
         yield f"edges-{k}", _disjoint_edges(k)
+    # the open cells become twin classes below the root here
+    yield "arcs-6-(2,2,2,1,1,2)", enumerate_facets_circular(
+        CircularComposition(6, (2, 2, 2, 1, 1, 2)))
+    for d, n_values in ((3, range(4, 13)), (4, range(5, 13))):  # perfbench `types` cells
+        for n in n_values:
+            for c in _type_candidates(d, n):
+                yield f"types-{d}-{n}-{c.arcs}", enumerate_facets_circular(c)
 
 
 def test_certificate_matches_literal_on_symmetric_complexes():
@@ -170,9 +177,11 @@ def _recorded_seeds(monkeypatch):
 
 
 def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
-    # one refinement per search node: equal counts on every complex mean
-    # that the pruning skipped the same subtrees, given the same seeds;
-    # seeding never adds a node
+    # one refinement per search node.  Without twin seeds the two
+    # searches prune the same subtrees, node for node.  With them, a node
+    # whose open cells are twin classes is one leaf and no refinement, so
+    # the search takes at most the recursive search's refinements, given
+    # the same seeds; seeding never adds a node
     refine, calls = canonical._refine, {}
 
     def counted(name):
@@ -186,13 +195,18 @@ def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
     seeds = _recorded_seeds(monkeypatch)
     complexes = list(_symmetric_complexes()) + [
         (c, enumerate_facets_circular(c)) for c in _type_candidates(6, 10)]
+    unseeded = 0
     for name, fc in complexes:
         calls.update(iterative=0, recursive=0)
         assert certificate(fc) == certificate_recursive(fc, seeds), name
-        assert calls["iterative"] == calls["recursive"] > 0, name
+        assert 0 < calls["iterative"] <= calls["recursive"], name
+        if not seeds:
+            unseeded += 1
+            assert calls["iterative"] == calls["recursive"], name
         calls["recursive"] = 0
         certificate_recursive(fc, seeds=())
         assert calls["iterative"] <= calls["recursive"], name
+    assert unseeded > 0
 
 
 def test_twin_seeds_are_the_automorphic_transpositions(monkeypatch):
@@ -228,8 +242,9 @@ def test_twin_seeds_are_the_automorphic_transpositions(monkeypatch):
 
 @pytest.mark.parametrize("d", [11, 40])
 def test_simplex_boundary_search_is_one_path(monkeypatch, d):
-    # every pair of the d+1 vertices is a twin pair, so the seeded root
-    # has one orbit: one refinement at the root and one per level
+    # every pair of the d+1 vertices is a twin pair, so the root's one
+    # cell is a twin class: one refinement, at the root, and its first
+    # leaf is the certificate
     refine, calls = canonical._refine, []
 
     def counting_refine(*args):
@@ -239,7 +254,7 @@ def test_simplex_boundary_search_is_one_path(monkeypatch, d):
     monkeypatch.setattr(canonical, "_refine", counting_refine)
     fc = FacetComplex(d + 1, d, tuple(combinations(range(d + 1), d)))
     certificate(fc)
-    assert len(calls) == fc.n_labels
+    assert len(calls) == 1
 
 
 def test_certificate_search_depth_is_bounded():

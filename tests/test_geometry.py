@@ -439,8 +439,8 @@ def test_cold_determinant_call_stays_lazy(monkeypatch, d, n):
 
 
 def test_wide_ground_sets_keep_memo_hashes_apart():
-    """Past 61 parameters the memo keys masks by their bytes, since int
-    masks would share hashes (see the module docstring): every memo key
+    """Past 61 parameters the memo keys masks by their packed member
+    indices, since int masks would share hashes (see the module docstring): every memo key
     hashes apart, and the scan agrees with the lambda test and, on a
     sample, with the literal oracle."""
     rng = random.Random(914)

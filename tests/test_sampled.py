@@ -23,6 +23,20 @@ uniform).  A draw whose ``facet_count`` is 10**5 or more is drawn
 again; the first 20 others must have ``facet_count`` equal to the
 number of facets ``enumerate_facets_circular`` lists.
 
+Bijection: ``test_type_key_classes_are_certificate_classes`` in
+test_classify.py checks that types correspond one to one to dihedral
+classes of compositions for d 2..7 and n <= d+4.
+``test_bijection_beyond_the_exhaustive_range`` draws, from
+random.Random(9912), six compositions for each d in 9..12, with n
+uniform in d+1..d+8, by ``helpers.random_composition``, and adds to
+each its arcs rotated by one place and its arcs reversed: 72
+compositions.  Only compositions of one d with as many vertices and
+facets can share a type, so in every group of equal (d, vertex count,
+``facet_count``) the classes of ``classify.type_key`` must be the
+classes of ``certificate``.  Keys of different groups must differ too,
+so the check runs over each d's whole row at once, which covers every
+group.
+
 The seeds and the ranges were fixed before the tests first ran.  A
 failure is a finding: its instance is kept as a named case here and
 reported in CHANGES.md.
@@ -31,12 +45,15 @@ reported in CHANGES.md.
 import random
 
 from veronese import (
+    CircularComposition,
+    certificate,
     cross_check,
     enumerate_facets_circular,
     facet_count,
     facet_test_determinant,
     facet_test_lambda,
 )
+from veronese.classify import type_key
 
 from helpers import (
     facet_test_determinant_literal,
@@ -79,3 +96,17 @@ def test_formula_beyond_criterion_3():
             continue
         assert len(enumerate_facets_circular(c).facets) == count, c
         checked += 1
+
+
+def test_bijection_beyond_the_exhaustive_range():
+    rng = random.Random(9912)
+    for d in range(9, 13):
+        pairs = set()
+        for _ in range(6):
+            c = random_composition(rng, d, rng.randint(d + 1, d + 8))
+            for arcs in (c.arcs, c.arcs[1:] + c.arcs[:1], c.arcs[::-1]):
+                drawn = CircularComposition(d, arcs, c.dividers)
+                pairs.add((type_key(drawn), certificate(enumerate_facets_circular(drawn))))
+        # one key per certificate and back
+        keys, certs = zip(*pairs)
+        assert len(pairs) == len(set(keys)) == len(set(certs)), d
