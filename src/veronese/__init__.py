@@ -13,7 +13,6 @@ from .canonical import (
 )
 from .circular import (
     CircularComposition,
-    canonical_arcs,
     enumerate_facets_circular,
     facet_count,
     induce_composition,
@@ -24,16 +23,11 @@ from .circular import (
 from .classify import (
     classify_composition,
     is_cross_polytope,
-    is_cyclic_type,
-    is_k_neighbourly,
-    is_simplex,
-    is_stacked_family,
 )
 from .errors import (
     CrossCheckError,
     DegenerateComplexError,
     DimensionMismatchError,
-    DomainError,
     InputError,
     InvalidChartError,
     InvalidDecompositionError,

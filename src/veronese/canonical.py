@@ -87,6 +87,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .circular import CircularComposition, dihedral_min, enumerate_facets_circular
+from .classify import classify_composition
 from .errors import DegenerateComplexError
 from .facets import FacetComplex
 
@@ -333,8 +334,6 @@ def count_types(d: int, n_vertices: int) -> int:
 
 def table_report(d_values, n_values):
     """Rows of (d, n, count, types) with per-type classification flags."""
-    from .classify import classify_composition
-
     rows = []
     for d in d_values:
         for n in n_values:

@@ -109,12 +109,6 @@ def dihedral_min(arcs: tuple) -> tuple:
     return min(seq[i:] + seq[:i] for seq in (arcs, arcs[::-1]) for i in range(len(seq)))
 
 
-def canonical_arcs(c: CircularComposition) -> CircularComposition:
-    """The composition with the lexicographically minimal arc sequence
-    over rotations and reflections."""
-    return CircularComposition(c.d, dihedral_min(c.arcs))
-
-
 def enumerate_facets_circular(c: CircularComposition) -> FacetComplex:
     """The facets of c, listed on the line decomposition with c's arcs
     as intervals, whose labels are c's (see the module docstring)."""

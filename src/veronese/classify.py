@@ -25,31 +25,22 @@ convex polytope", Mathematika 1970) it is floor(d/2)-neighbourly
 exactly when it has as many facets as the cyclic polytope on its
 vertices.
 
-`is_cyclic_type`, `is_stacked_family` and `is_k_neighbourly` decide the
-same questions from the facet complex and its certificate, as
-independent oracles for those flags.
+The test oracle `tests/helpers.py::classify_literal` decides the same
+flags from the facet complex: it compares certificates with the
+reference types' and tests every floor(d/2)-subset of vertices against
+the facets.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .canonical import certificate
 from .circular import (
     CircularComposition,
     dihedral_min,
-    enumerate_facets_circular,
     facet_count,
     induce_composition,
     vertex_set,
 )
-from .errors import DomainError
-from .facets import FacetComplex
 from .geometry import SignedDecomposition
-
-
-def is_simplex(c: CircularComposition) -> bool:
-    return len(vertex_set(c)) == c.d + 1
 
 
 def is_cross_polytope(c: CircularComposition) -> bool:
@@ -83,45 +74,6 @@ def _reference(kind: str, d: int, nv: int) -> CircularComposition:
         return CircularComposition(d, (nv,))
     sizes = (1,) * (d - 3) + (nv - (d - 3),)
     return induce_composition(SignedDecomposition(sizes, 1, d))
-
-
-def _same_type(c: CircularComposition, kind: str) -> bool:
-    """Whether c's facet complex has the certificate of the reference
-    type of this kind on as many vertices."""
-    reference = _reference(kind, c.d, len(vertex_set(c)))
-    return certificate(enumerate_facets_circular(c)) == \
-        certificate(enumerate_facets_circular(reference))
-
-
-def is_stacked_family(c: CircularComposition) -> bool:
-    """Membership in the one known stacked family: all but one interval
-    a singleton on the line.  Not a general stackedness test.
-
-    The certificate oracle for the `stacked_family` flag: compared by
-    certificate, so the answer depends only on the combinatorial type.
-    """
-    if c.d < 3:
-        raise DomainError(f"stacked types need d >= 3, got d={c.d}")
-    return _same_type(c, "stacked")
-
-
-def is_cyclic_type(c: CircularComposition) -> bool:
-    """The certificate oracle for the `cyclic` flag: compare certificates
-    with the cyclic polytope on the same number of vertices (dividerless
-    for even d, one divider for odd d)."""
-    return _same_type(c, "cyclic")
-
-
-def _neighbourly(fc: FacetComplex, verts, k: int) -> bool:
-    facets = [set(f) for f in fc.facets]
-    return all(any(set(sub) <= f for f in facets) for sub in combinations(verts, k))
-
-
-def is_k_neighbourly(c: CircularComposition, k: int) -> bool:
-    """Every k-subset of vertices lies in some facet."""
-    if not 1 <= k <= c.d // 2:
-        raise DomainError(f"k must be in 1..{c.d // 2}, got {k}")
-    return _neighbourly(enumerate_facets_circular(c), vertex_set(c), k)
 
 
 def classify_composition(c: CircularComposition) -> dict:

@@ -136,7 +136,7 @@ def _on_source(args, on_composition, on_instance):
 
 def _cmd_facets(args):
     fc, report = _on_source(args, enumerate_facets_circular, enumerate_facets_geometric)
-    out = {"facets": [list(f) for f in fc.facets]}
+    out = {"facets": fc.facets}
     if report is not None:
         out["check"] = report
     return [out], out["facets"]

@@ -52,10 +52,6 @@ class DegenerateComplexError(InputError):
     code = "degenerate-complex"
 
 
-class DomainError(InputError):
-    code = "domain-error"
-
-
 class CrossCheckError(RuntimeError):
     """Two supposedly equivalent computations disagreed."""
 

@@ -48,6 +48,7 @@ Positions are 1-based internally (the parity conditions are stated for
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from itertools import accumulate, chain
 
 from .errors import (
@@ -75,8 +76,17 @@ class Value:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self):
+    # Hashing a tuple of Fractions rehashes every Fraction, and the
+    # determinant memo's lru_cache hashes the chart and the ground set on
+    # every call, so the hash is kept.  cached_property writes the
+    # instance __dict__ directly, past the __setattr__ that makes a Value
+    # immutable.
+    @cached_property
+    def _hash(self) -> int:
         return hash(self._values())
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.fields)

@@ -118,17 +118,6 @@ class GroundSet(Value):
             raise InvalidInstanceError("parameters must be strictly increasing")
         object.__setattr__(self, "params", ts)
 
-    # Hashing a tuple of Fractions rehashes every Fraction, and the
-    # determinant memo hashes its instance on every call, so the hash is
-    # kept.  cached_property writes the instance __dict__ directly, past
-    # the __setattr__ that makes a Value immutable.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.params,))
-
-    def __hash__(self):
-        return self._hash
-
     @property
     def n(self) -> int:
         return len(self.params)
@@ -144,13 +133,6 @@ class Chart(Value):
         if not cs or all(x == 0 for x in cs):
             raise InvalidChartError("chart must be nonzero")
         object.__setattr__(self, "coords", cs)
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.coords,))
-
-    def __hash__(self):
-        return self._hash
 
     @cached_property
     def integer_form(self) -> tuple:
@@ -409,7 +391,7 @@ def decompose_chart(xi: Chart, t_set: GroundSet) -> SignedDecomposition:
 def cross_check(xi: Chart, t_set: GroundSet) -> dict:
     """Compute the facet set four independent ways: the lambda test, the
     determinant test, sigma-PA complements and the S1/S2/S3 split.
-    Returns the four facet lists; raises CrossCheckError if they differ."""
+    Returns the four facet tuples; raises CrossCheckError if they differ."""
     by_lambda = enumerate_facets_geometric(xi, t_set).facets
     by_det = tuple(
         idxs for idxs in combinations(range(t_set.n), xi.d)
@@ -422,10 +404,10 @@ def cross_check(xi: Chart, t_set: GroundSet) -> dict:
         if s123_decompose(dec, [i + 1 for i in idxs]) is not None
     )
     report = {
-        "lambda": [list(f) for f in by_lambda],
-        "determinant": [list(f) for f in by_det],
-        "sigma_pa": [list(f) for f in by_pa],
-        "s123": [list(f) for f in by_s123],
+        "lambda": by_lambda,
+        "determinant": by_det,
+        "sigma_pa": by_pa,
+        "s123": by_s123,
     }
     if not by_lambda == by_det == by_pa == by_s123:
         raise CrossCheckError(json.dumps(report))

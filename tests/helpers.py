@@ -8,6 +8,10 @@ is the search that the iterative certificate replaced, kept on the
 library's refinement so that the two can be compared node for node.
 classify_literal is the certificate-based classification that the
 arc-based one replaced, kept on the library's facets and certificates.
+With _reference_certificate_literal it is the one certificate-based
+classification of the flags, since the library reads every flag off the
+arcs; _neighbourly, its test of every floor(d/2)-subset of vertices
+against the facets, lives here with it.
 q_eval_literal, chart_from_decomposition_literal and
 is_power_of_linear_form_literal are the Fraction evaluations that the
 integer ones replaced.  chirotope_literal and one_lambda_sign_literal are
@@ -58,7 +62,6 @@ from veronese import (
     vertex_set,
 )
 from veronese.canonical import _refine
-from veronese.classify import _neighbourly
 from veronese.exact import sign
 
 
@@ -810,6 +813,12 @@ def _reference_certificate_literal(kind: str, d: int, nv: int) -> bytes:
         sizes = (1,) * (d - 3) + (nv - (d - 3),)
         reference = induce_composition(SignedDecomposition(sizes, 1, d))
     return certificate(enumerate_facets_circular(reference))
+
+
+def _neighbourly(fc, verts, k: int) -> bool:
+    """Every k-subset of verts lies in some facet of fc."""
+    facets = [set(f) for f in fc.facets]
+    return all(any(set(sub) <= f for f in facets) for sub in combinations(verts, k))
 
 
 def _classify_literal(c, fc, mine: bytes) -> dict:

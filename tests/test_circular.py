@@ -10,7 +10,6 @@ from veronese import (
     InvalidDecompositionError,
     SignedDecomposition,
     UnderdeterminedInstanceError,
-    canonical_arcs,
     decompose_chart,
     enumerate_compositions,
     enumerate_facets_circular,
@@ -23,6 +22,7 @@ from veronese import (
 )
 
 from veronese import facets as facets_module
+from veronese.circular import dihedral_min
 
 from helpers import (
     _compositions_nonneg,
@@ -74,9 +74,9 @@ def test_induce_composition_examples():
 
 
 def test_canonical_arcs_examples():
-    assert canonical_arcs(CircularComposition(2, (7, 2))).arcs == (2, 7)
-    assert canonical_arcs(CircularComposition(4, (1, 3, 1, 2))).arcs == (1, 2, 1, 3)
-    assert canonical_arcs(CircularComposition(3, (5,))).arcs == (5,)
+    assert dihedral_min((7, 2)) == (2, 7)
+    assert dihedral_min((1, 3, 1, 2)) == (1, 2, 1, 3)
+    assert dihedral_min((5,)) == (5,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,15 +84,12 @@ def test_canonical_arcs_examples():
 def test_canonical_arcs_dihedral_invariant(d, seed):
     rng = random.Random(seed)
     c = random_composition(rng, d, rng.randint(d + 1, 12))
-    canon = canonical_arcs(c)
-    assert canonical_arcs(canon) == canon
+    canon = dihedral_min(c.arcs)
+    assert dihedral_min(canon) == canon
     if c.l > 1:
-        arcs = list(c.arcs)
         i = rng.randrange(c.l)
-        rotated = CircularComposition(d, tuple(arcs[i:] + arcs[:i]))
-        reflected = CircularComposition(d, tuple(arcs[::-1]))
-        assert canonical_arcs(rotated) == canon
-        assert canonical_arcs(reflected) == canon
+        assert dihedral_min(c.arcs[i:] + c.arcs[:i]) == canon
+        assert dihedral_min(c.arcs[::-1]) == canon
 
 
 def test_enumerate_facets_circular_examples():
@@ -224,7 +221,7 @@ def test_realize_roundtrip(d, seed):
     c = random_composition(rng, d, rng.randint(d + 1, 10))
     t_set, xi = realize(c)
     back = induce_composition(decompose_chart(xi, t_set))
-    assert canonical_arcs(back) == canonical_arcs(c)
+    assert back.d == c.d and dihedral_min(back.arcs) == dihedral_min(c.arcs)
 
 
 def test_underdetermined():
@@ -270,10 +267,10 @@ def _compositions_literal(d, n):
             out.append(CircularComposition(d, (n,), dividers=0))
             continue
         for extra in _compositions_nonneg(n - l, l):
-            canon = canonical_arcs(CircularComposition(d, [m + 1 for m in extra]))
-            if canon.arcs not in seen:
-                seen.add(canon.arcs)
-                out.append(canon)
+            canon = dihedral_min(tuple(m + 1 for m in extra))
+            if canon not in seen:
+                seen.add(canon)
+                out.append(CircularComposition(d, canon))
     return out
 
 

@@ -3,7 +3,6 @@ from helpers import classify_literal
 
 from veronese import (
     CircularComposition,
-    DomainError,
     certificate,
     classify_composition,
     distinct_types,
@@ -11,19 +10,20 @@ from veronese import (
     enumerate_facets_circular,
     facet_count,
     is_cross_polytope,
-    is_cyclic_type,
-    is_k_neighbourly,
-    is_simplex,
-    is_stacked_family,
     vertex_set,
 )
 
 
+def _flag(name, d, arcs, dividers=-1):
+    """The certificate oracle's flag `name` for the composition."""
+    return classify_literal(CircularComposition(d, arcs, dividers))[name]
+
+
 def test_is_simplex():
-    assert is_simplex(CircularComposition(3, (1, 1, 2)))
-    assert is_simplex(CircularComposition(4, (1, 1, 1, 4)))
-    assert is_simplex(CircularComposition(4, (5,), dividers=0))
-    assert not is_simplex(CircularComposition(4, (3, 4)))
+    assert _flag("simplex", 3, (1, 1, 2))
+    assert _flag("simplex", 4, (1, 1, 1, 4))
+    assert _flag("simplex", 4, (5,), dividers=0)
+    assert not _flag("simplex", 4, (3, 4))
 
 
 def test_is_cross_polytope():
@@ -45,13 +45,13 @@ def test_cross_polytope_structure():
 
 
 def test_is_stacked_family():
-    assert is_stacked_family(CircularComposition(4, (1, 9)))
-    assert is_stacked_family(CircularComposition(4, (9, 1)))
+    assert _flag("stacked_family", 4, (1, 9))
+    assert _flag("stacked_family", 4, (9, 1))
     assert facet_count(CircularComposition(4, (1, 9))) == 20
-    assert not is_stacked_family(CircularComposition(4, (10,), dividers=0))
-    assert not is_stacked_family(CircularComposition(4, (2, 8)))
-    with pytest.raises(DomainError):
-        is_stacked_family(CircularComposition(2, (5,), dividers=0))
+    assert not _flag("stacked_family", 4, (10,), dividers=0)
+    assert not _flag("stacked_family", 4, (2, 8))
+    # the family is defined from d = 3 on
+    assert not _flag("stacked_family", 2, (5,), dividers=0)
 
 
 def test_stacked_facet_counts():
@@ -62,19 +62,16 @@ def test_stacked_facet_counts():
         for n in range(d + 2, 13):
             sizes = (1,) * (d - 3) + (n - (d - 3),)
             c = induce_composition(SignedDecomposition(sizes, 1, d))
-            assert is_stacked_family(c)
+            assert classify_literal(c)["stacked_family"]
             assert facet_count(c) == (d - 1) * n - (d + 1) * (d - 2)
 
 
 def test_is_k_neighbourly():
-    assert is_k_neighbourly(CircularComposition(4, (9,), dividers=0), 2)
-    assert is_k_neighbourly(CircularComposition(5, (9,)), 2)
-    assert not is_k_neighbourly(CircularComposition(4, (3, 4)), 2)
-    assert is_k_neighbourly(CircularComposition(4, (2, 4)), 2)
-    with pytest.raises(DomainError):
-        is_k_neighbourly(CircularComposition(4, (3, 4)), 3)
-    with pytest.raises(DomainError):
-        is_k_neighbourly(CircularComposition(4, (3, 4)), 0)
+    # the flag is floor(d/2)-neighbourliness: 2 at d = 4 and d = 5
+    assert _flag("neighbourly", 4, (9,), dividers=0)
+    assert _flag("neighbourly", 5, (9,))
+    assert not _flag("neighbourly", 4, (3, 4))
+    assert _flag("neighbourly", 4, (2, 4))
 
 
 def test_two_even_arcs_not_neighbourly():
@@ -83,27 +80,27 @@ def test_two_even_arcs_not_neighbourly():
         for n in range(d + 3, d + 7):
             for first in range(1, n // 2 + 1):
                 c = CircularComposition(d, (first, n - first))
-                assert not is_k_neighbourly(c, d // 2)
+                assert not classify_literal(c)["neighbourly"]
 
 
 def test_is_cyclic_type():
-    assert is_cyclic_type(CircularComposition(3, (7,)))
-    assert is_cyclic_type(CircularComposition(3, (1, 2, 2)))
-    assert is_cyclic_type(CircularComposition(4, (2, 4)))
-    assert not is_cyclic_type(CircularComposition(4, (3, 3)))
-    assert not is_cyclic_type(CircularComposition(3, (2, 2, 2)))
+    assert _flag("cyclic", 3, (7,))
+    assert _flag("cyclic", 3, (1, 2, 2))
+    assert _flag("cyclic", 4, (2, 4))
+    assert not _flag("cyclic", 4, (3, 3))
+    assert not _flag("cyclic", 3, (2, 2, 2))
 
 
 def test_three_dimensional_dichotomy():
     for n in range(4, 11):
         for _, c in distinct_types(3, n):
-            assert is_cyclic_type(c) or is_cross_polytope(c)
+            assert classify_literal(c)["cyclic"] or is_cross_polytope(c)
 
 
 def test_simplex_facet_count():
     for d, arcs in [(3, (1, 1, 4)), (4, (1, 1, 1, 3)), (5, (1, 1, 1, 1, 2))]:
         c = CircularComposition(d, arcs)
-        if is_simplex(c):
+        if classify_literal(c)["simplex"]:
             assert facet_count(c) == d + 1
 
 
@@ -144,9 +141,9 @@ def test_classify_flags_match_the_recognizers():
     for d in range(3, 6):
         for n in range(d + 1, 10):
             for c in _type_candidates(d, n):
-                flags = classify_composition(c)
-                assert flags["stacked_family"] == is_stacked_family(c), c
-                assert flags["cyclic"] == is_cyclic_type(c), c
+                flags, oracle = classify_composition(c), classify_literal(c)
+                assert flags["stacked_family"] == oracle["stacked_family"], c
+                assert flags["cyclic"] == oracle["cyclic"], c
 
 
 def test_classify_matches_the_certificate_classification():

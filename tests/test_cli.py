@@ -568,3 +568,23 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
                            f"import sys; sys.path.insert(0, {SRC!r})\n" + code],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == []
+
+
+def test_modules_import_in_one_order():
+    # the package __init__ imports every module, so the package is stubbed
+    # and each module is imported on its own, lowest layer first: none may
+    # load a module of a later layer, and classify then loads no canonical
+    order = ["errors", "exact", "facets", "geometry", "circular", "classify",
+             "canonical", "cli"]
+    code = ("import sys, types\n"
+            "package = types.ModuleType('veronese')\n"
+            f"package.__path__ = [{SRC!r} + '/veronese']\n"
+            "sys.modules['veronese'] = package\n"
+            f"for name in {order!r}:\n"
+            "    before = set(sys.modules)\n"
+            "    __import__('veronese.' + name)\n"
+            "    print(name, *sorted(m for m in set(sys.modules) - before"
+            " if m.startswith('veronese.')))\n")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.splitlines() == [f"{name} veronese.{name}" for name in order]

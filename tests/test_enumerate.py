@@ -353,13 +353,12 @@ def test_count_types_d8_regression_values():
 
 
 def test_stacked_uniqueness_small():
-    from veronese import is_stacked_family
+    from helpers import _reference_certificate_literal
 
     for d in (4, 5):
         for n in range(d + 1, d + 5):
-            stacked = [
-                c for _, c in distinct_types(d, n) if is_stacked_family(c)
-            ]
+            reference = _reference_certificate_literal("stacked", d, n)
+            stacked = [c for cert, c in distinct_types(d, n) if cert == reference]
             assert len(stacked) == 1
 
 

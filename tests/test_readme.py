@@ -1,4 +1,5 @@
-"""Every ``veronese ...`` line of the README's CLI block runs cleanly."""
+"""Every ``veronese ...`` line of the README's CLI block runs cleanly, and
+so does the Python block of its library sketch."""
 
 import io
 import re
@@ -49,3 +50,9 @@ def test_readme_example_runs(capsys, monkeypatch, argv, stdin):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert main(argv) == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_library_sketch_runs():
+    block = re.search(r"^## Library sketch$.*?```python\n(.*?)```", README.read_text(),
+                      re.S | re.M).group(1)
+    exec(compile(block, "README.md", "exec"), {})

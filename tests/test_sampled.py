@@ -35,7 +35,15 @@ facets can share a type, so in every group of equal (d, vertex count,
 ``facet_count``) the classes of ``classify.type_key`` must be the
 classes of ``certificate``.  Keys of different groups must differ too,
 so the check runs over each d's whole row at once, which covers every
-group.
+group.  Those draws seldom put two keys in one group, so
+``test_bijection_where_two_types_could_be_confused`` takes the groups
+themselves: it groups the 158 type candidates of d = 9, n = 13
+(``canonical._type_candidates``) by vertex count and ``facet_count``,
+and keeps the 39 groups that hold two or more keys, 148 keys in all.
+It certifies each key's first candidate, that candidate's arcs rotated
+by a number of places drawn from random.Random(2613) (1..l-1 for l >= 2
+arcs), and its arcs reversed.  In each group, certificates must be
+equal exactly for equal keys, over 247 pairs of distinct keys.
 
 The seeds and the ranges were fixed before the tests first ran.  A
 failure is a finding: its instance is kept as a named case here and
@@ -52,7 +60,9 @@ from veronese import (
     facet_count,
     facet_test_determinant,
     facet_test_lambda,
+    vertex_set,
 )
+from veronese.canonical import _type_candidates
 from veronese.classify import type_key
 
 from helpers import (
@@ -110,3 +120,26 @@ def test_bijection_beyond_the_exhaustive_range():
         # one key per certificate and back
         keys, certs = zip(*pairs)
         assert len(pairs) == len(set(keys)) == len(set(certs)), d
+
+
+def test_bijection_where_two_types_could_be_confused():
+    rng, d = random.Random(2613), 9
+    groups = {}  # (vertex count, facet count): each key's first candidate
+    for c in _type_candidates(d, 13):
+        groups.setdefault((len(vertex_set(c)), facet_count(c)), {}).setdefault(type_key(c), c)
+    confusable = 0  # pairs of distinct keys in one group
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        confusable += len(group) * (len(group) - 1) // 2
+        pairs = set()
+        for key, c in group.items():
+            turn = rng.randrange(1, len(c.arcs)) if len(c.arcs) > 1 else 0
+            for arcs in (c.arcs, c.arcs[turn:] + c.arcs[:turn], c.arcs[::-1]):
+                drawn = CircularComposition(d, arcs, c.dividers)
+                assert type_key(drawn) == key, drawn
+                pairs.add((key, certificate(enumerate_facets_circular(drawn))))
+        # equal certificates exactly for equal keys
+        keys, certs = zip(*pairs)
+        assert len(pairs) == len(set(keys)) == len(set(certs)), group
+    assert confusable == 247
