@@ -11,6 +11,15 @@ instance (on ``realize(c)`` for a composition), and ``count`` compares
 the formula with enumeration.  For a composition, ``facets`` and
 ``vertices`` also compare the printed answer with that of ``realize(c)``,
 label for label.  The other commands accept and ignore it.
+
+``main`` reads a plain argv without argparse (``_Parser.parse_plain``):
+one command, the global flags on either side of it, and after it the
+command's own flags, each spelled in full and given at most once, as
+``--flag value`` or ``--flag=value``.  Every other argv (an abbreviation,
+``-h``, ``--``, a repeated flag, a value that argparse would refuse or
+might read as a flag) goes to argparse, which alone writes usage and
+error text.  Both read the one declaration of the flags in
+``build_parser``.
 """
 
 from __future__ import annotations
@@ -235,19 +244,77 @@ def _emit(payloads, csv_rows, fmt):
             print(json.dumps(payload, indent=2 if fmt == "pretty" else None))
 
 
+# the values of the global flags when they are not given; the flags
+# themselves suppress their defaults (see build_parser)
+_GLOBAL_DEFAULTS = {"format": "json", "check": False}
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as one JSON error object, exit 2."""
+    """Reports usage errors as one JSON error object, exit 2.
+
+    build_parser keeps on the top-level parser the action of every flag
+    it adds: ``global_flags`` maps a global flag to its action, and
+    ``commands`` maps a command to its func and the actions of its flags,
+    the global ones included.  parse_plain reads only these tables."""
 
     def error(self, message):
         _fail("invalid-input", message, {"usage": self.format_usage().strip()})
         self.exit(2)
 
+    def parse_plain(self, argv):
+        """The Namespace that parse_args builds from a plain argv: one
+        command, the global flags on either side of it, and after it its
+        own flags, each given at most once; every flag spelled in full, as
+        "--flag value" or "--flag=value".  None for any other argv, or for
+        a value that is empty, "--", not a choice or not convertible;
+        parse_args then reads the argv, and it alone writes usage and
+        error text.
 
-def _with(parser, *arguments):
-    """Add (flag, keywords) options to parser; returns the parser."""
-    for flag, keywords in arguments:
-        parser.add_argument(flag, **keywords)
-    return parser
+        A value in a token of its own may start with "-" only if ASCII
+        digits follow: no option here looks like a negative number, so
+        argparse reads "-1" as a value but "-3,-2" as an option."""
+        values = dict(_GLOBAL_DEFAULTS)
+        command, flags = None, self.global_flags
+        tokens = iter(argv)
+        for token in tokens:
+            if command is None and token in self.commands:
+                command = token
+                func, flags = self.commands[token]
+                continue
+            flag, eq, value = token.partition("=")
+            action = flags.get(flag)
+            # a global flag may come again, and the last one holds, as in argparse
+            if action is None or action.dest in values and flag not in self.global_flags:
+                return None
+            if action.nargs == 0:  # --check takes no value
+                if eq:
+                    return None
+                values[action.dest] = action.const
+                continue
+            if not eq:
+                value = next(tokens, "")
+                if value[:1] == "-" and not (value[1:].isdigit() and value.isascii()):
+                    return None
+            if value in ("", "--") or action.choices and value not in action.choices:
+                return None
+            try:
+                values[action.dest] = action.type(value) if action.type else value
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if command is None:
+            return None
+        for action in flags.values():
+            if action.dest not in values:
+                if action.required:
+                    return None
+                if action.default is not argparse.SUPPRESS:
+                    values[action.dest] = action.default
+        return argparse.Namespace(command=command, func=func, **values)
+
+
+def _add(parser, arguments):
+    """Add each (flag, keywords) argument to parser; its actions by flag."""
+    return {flag: parser.add_argument(flag, **keywords) for flag, keywords in arguments}
 
 
 def _required(argument):
@@ -264,25 +331,26 @@ def build_parser():
     # the global flags sit on the main parser and on every subparser, so
     # they are accepted on either side of the subcommand; their defaults
     # are suppressed, so a subparser never overwrites a value given before
-    # it, and main() supplies the defaults instead
+    # it, and main() supplies _GLOBAL_DEFAULTS instead
     common = argparse.ArgumentParser(add_help=False,
                                      argument_default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("json", "csv", "pretty"),
-                        help="output format (default json)")
-    common.add_argument("--check", action="store_true",
-                        help="cross-check: facets, vertices and decompose compare "
-                             "the four facet characterizations, count compares the "
-                             "formula with enumeration (exponential in the number "
-                             "of arcs); other commands ignore it")
+    global_flags = _add(common, [
+        ("--format", dict(choices=("json", "csv", "pretty"),
+                          help="output format (default json)")),
+        ("--check", dict(action="store_true",
+                         help="cross-check: facets, vertices and decompose compare "
+                              "the four facet characterizations, count compares the "
+                              "formula with enumeration (exponential in the number "
+                              "of arcs); other commands ignore it"))])
     parser = _Parser(prog="veronese", parents=[common])
+    parser.global_flags, parser.commands = global_flags, {}
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def parent(*arguments):
-        return _with(argparse.ArgumentParser(add_help=False), *arguments)
-
-    def add_command(name, help_text, func, parents, *arguments):
-        p = sub.add_parser(name, help=help_text, parents=[common, *parents])
-        _with(p, *arguments).set_defaults(func=func)
+    def add_command(name, help_text, func, *arguments):
+        # argparse and parse_plain both read the actions made here
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.set_defaults(func=func)
+        parser.commands[name] = func, {**global_flags, **_add(p, arguments)}
 
     # the input options, each declared once; _required marks a command's copy
     t = ("--t", dict(help="comma-separated parameters, e.g. -3,-2,-1,1/2"))
@@ -292,16 +360,16 @@ def build_parser():
         type=int, default=argparse.SUPPRESS,
         help="number of dividers; may be left out, since d and the arcs fix it: "
              "one per arc, or d mod 2 for a single arc; only with --arcs"))
-    dimension = parent(("--d", dict(type=_dimension, required=True,
-                                    help="dimension d of the polytope, at least 1")))
-    either_source = parent(t, xi, arcs, dividers)
-    composition = parent(_required(arcs), dividers)
+    dimension = ("--d", dict(type=_dimension, required=True,
+                             help="dimension d of the polytope, at least 1"))
+    either_source = (t, xi, arcs, dividers)
+    composition = (_required(arcs), dividers)
 
     add_command("facets", "enumerate facets of an instance or composition",
-                _cmd_facets, [dimension, either_source])
+                _cmd_facets, dimension, *either_source)
     add_command("decompose", "signed decomposition and induced composition",
-                _cmd_decompose, [dimension], _required(t), _required(xi))
-    add_command("chart", "chart realizing a signed decomposition", _cmd_chart, [dimension],
+                _cmd_decompose, dimension, _required(t), _required(xi))
+    add_command("chart", "chart realizing a signed decomposition", _cmd_chart, dimension,
                 ("--sizes", dict(required=True,
                                  help="comma-separated sizes of the constant-sign "
                                       "intervals of q, left to right")),
@@ -309,16 +377,16 @@ def build_parser():
                                       help="sign of q on the first interval, "
                                            "1 or -1 (default 1)")),
                 _required(t))
-    add_command("count", "facet count by formula", _cmd_count, [dimension, composition])
+    add_command("count", "facet count by formula", _cmd_count, dimension, *composition)
     add_command("classify", "named-type flags of a composition", _cmd_classify,
-                [dimension, composition])
-    add_command("vertices", "vertex labels", _cmd_vertices, [dimension, either_source])
+                dimension, *composition)
+    add_command("vertices", "vertex labels", _cmd_vertices, dimension, *either_source)
     add_command("chart-order", "is the chart a d-th power of a linear form",
-                _cmd_chart_order, [dimension], _required(xi))
-    add_command("enumerate", "combinatorial type counts per (d, n)", _cmd_enumerate, [],
+                _cmd_chart_order, dimension, _required(xi))
+    add_command("enumerate", "combinatorial type counts per (d, n)", _cmd_enumerate,
                 ("--d", dict(required=True, help="dimension or range a..b")),
                 ("--n", dict(required=True, help="vertex count or range a..b")))
-    add_command("certify", "canonical certificate of a facet complex", _cmd_certify, [],
+    add_command("certify", "canonical certificate of a facet complex", _cmd_certify,
                 ("--file", dict(default="-",
                                 help='JSON {"n_labels", "d", "facets"}; "-" reads stdin')))
     return parser
@@ -326,10 +394,15 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv, argparse.Namespace(format="json", check=False))
-    # argparse before Python 3.12 drops the value of "--opt=--", leaving []
-    if [] in vars(args).values():
-        parser.error("an option value cannot be '--'")
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_plain(argv)
+    if args is None:
+        args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
+        # argparse before Python 3.13 reads "--opt=--" as [], and 3.13 as
+        # "--"; both are refused alike
+        values = vars(args).values()
+        if [] in values or "--" in values:
+            parser.error("an option value cannot be '--'")
     try:
         payloads, csv_rows = args.func(args)
     except (InputError, CrossCheckError) as exc:

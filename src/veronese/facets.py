@@ -120,9 +120,21 @@ class FacetComplex(Value):
                 )
             if f and (f[0] < 0 or f[-1] >= n_labels):
                 raise InvalidIndexError(f"facet {f} out of label range")
+        self._set(n_labels, d, canon)
+
+    def _set(self, n_labels, d, facets):
         object.__setattr__(self, "n_labels", n_labels)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "facets", canon)
+        object.__setattr__(self, "facets", facets)
+
+    @classmethod
+    def _trusted(cls, n_labels: int, d: int, facets) -> "FacetComplex":
+        """The complex of facets the library produced itself, each a
+        sorted tuple of d labels in range and no two equal: only the list
+        is sorted.  Outside input goes through the checks of __init__."""
+        self = cls.__new__(cls)
+        self._set(n_labels, d, tuple(sorted(facets)))
+        return self
 
     @property
     def vertex_labels(self):
@@ -134,11 +146,10 @@ class FacetComplex(Value):
         verts = self.vertex_labels
         if len(verts) == self.n_labels:
             return self
+        # the relabeling keeps the order, so each facet stays sorted
         new = {v: i for i, v in enumerate(verts)}
-        return FacetComplex(
-            len(verts), self.d,
-            tuple(tuple(new[v] for v in f) for f in self.facets),
-        )
+        return FacetComplex._trusted(
+            len(verts), self.d, [tuple(new[v] for v in f) for f in self.facets])
 
 
 # The tables both line tests read, indexed by 1-based position p (entry 0
@@ -199,7 +210,7 @@ def enumerate_facets_line(decomposition) -> FacetComplex:
                 facets.append(facet + tuple(range(q - 1, n)))
             else:
                 stack.append((facet + (q - 1,), q, prev))
-    return FacetComplex(n, d, tuple(facets))
+    return FacetComplex._trusted(n, d, facets)
 
 
 class S123(Value):

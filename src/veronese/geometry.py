@@ -374,7 +374,7 @@ def enumerate_facets_geometric(xi: Chart, t_set: GroundSet) -> FacetComplex:
             flips ^= (1 << i) - 1
         if _one_lambda_sign(positive, full ^ members, flips):
             facets.append(idxs)
-    return FacetComplex(t_set.n, d, tuple(facets))
+    return FacetComplex._trusted(t_set.n, d, facets)
 
 
 def decompose_chart(xi: Chart, t_set: GroundSet) -> SignedDecomposition:

@@ -13,6 +13,7 @@ from veronese import (
     decompose_chart,
     enumerate_compositions,
     enumerate_facets_circular,
+    enumerate_facets_geometric,
     enumerate_facets_line,
     facet_count,
     induce_composition,
@@ -21,7 +22,6 @@ from veronese import (
     vertex_set,
 )
 
-from veronese import facets as facets_module
 from veronese.circular import dihedral_min
 
 from helpers import (
@@ -243,12 +243,13 @@ def _walk_cases():
 
 def test_walk_matches_literal_search(monkeypatch):
     handed = []
+    trusted = FacetComplex._trusted.__func__
 
-    def spy(n, d, facets):
+    def spy(cls, n, d, facets):
         handed.append(facets)
-        return FacetComplex(n, d, facets)
+        return trusted(cls, n, d, facets)
 
-    monkeypatch.setattr(facets_module, "FacetComplex", spy)
+    monkeypatch.setattr(FacetComplex, "_trusted", classmethod(spy))
     for c in _walk_cases():
         got = enumerate_facets_circular(c).facets
         # the line walk hands over each facet once, sorted: nothing to dedupe
@@ -257,6 +258,31 @@ def test_walk_matches_literal_search(monkeypatch):
             == enumerate_facets_circular_literal(c).facets, c
         assert len(facets) == len(set(facets)) == facet_count(c), c
         assert all(list(f) == sorted(f) for f in facets), c
+
+
+def test_trusted_complexes_equal_checked_ones(monkeypatch):
+    # each producer hands its own facets to FacetComplex._trusted, which
+    # only sorts them; the public constructor, which checks and dedupes,
+    # must build the same complex from them
+    made = []
+    trusted = FacetComplex._trusted.__func__
+
+    def spy(cls, n, d, facets):
+        made.append((trusted(cls, n, d, facets), FacetComplex(n, d, tuple(facets))))
+        return made[-1][0]
+
+    monkeypatch.setattr(FacetComplex, "_trusted", classmethod(spy))
+    producers = {"line": 0, "geometric": 0, "restrict": 0}
+    for c in _walk_cases():
+        fc, (t_set, xi) = enumerate_facets_circular(c), realize(c)
+        for producer, make in [("line", lambda: enumerate_facets_circular(c)),
+                               ("geometric", lambda: enumerate_facets_geometric(xi, t_set)),
+                               ("restrict", fc.restrict_to_vertices)]:
+            made.clear()
+            make()
+            producers[producer] += len(made)
+            assert all(got == want and got.facets == want.facets for got, want in made), c
+    assert all(producers.values()), producers
 
 
 def _compositions_literal(d, n):

@@ -528,6 +528,17 @@ PARSER_ORACLE_ARGV = [
     ENUMERATE + ["--format", "pretty"],
     ["--check", "--format", "csv", "count", "--d", "4", "--arcs", "3,4"],
     ["count", "--d", "4", "--arcs", "3,4", "--format", "pretty", "--check"],
+    # shapes the plain reader declines, so that argparse reads them
+    ["count", "--ar", "3,4", "--d", "4"],  # abbreviation
+    ["count", "--d", "4", "--d", "5", "--arcs", "3,4"],  # repeated flag
+    ["count", "--d", "4", "--arcs", "3,4", "--"],
+    ["--check=1", "count", "--d", "4", "--arcs", "3,4"],  # usage error
+    ["chart", "--d", "4", "--sizes", "3,4", "--t="],  # InputError
+    ["chart", "--d", "1", "--sizes", "1,1", "--t", "-3,-2"],  # usage error
+    ["certify", "--file", "-"],
+    # plain shapes with a negative value
+    ["chart", "--d", "4", "--sizes", "3,4", "--first-sign", "-1", "--t=-3,-2,-1,1,2,3,4"],
+    ["count", "--d", "4", "--arcs", "3,4", "--dividers=-1"],
 ]
 
 
@@ -547,8 +558,10 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
     argvs = PARSER_ORACLE_ARGV + PARSER_ORACLE_ARGV[::-1]
     shared = [_outcome(capsys, monkeypatch, argv) for argv in argvs]
     assert cli.build_parser.cache_info().currsize == 1
-    # the oracle: every call builds its own parser, as before memoization
+    # the oracle: every call builds its own parser, as before memoization,
+    # and argparse alone reads the argv
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    monkeypatch.setattr(cli._Parser, "parse_plain", lambda self, argv: None)
     fresh = [_outcome(capsys, monkeypatch, argv) for argv in argvs]
     for argv, got, want in zip(argvs, shared, fresh):
         assert got == want, argv

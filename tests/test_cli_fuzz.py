@@ -1,16 +1,20 @@
 """Generated argv and stdin for ``cli.main``: every run ends in exit 0,
-2 or 3, and stderr is empty or holds exactly one JSON error object."""
+2 or 3, and stderr is empty or holds exactly one JSON error object.
+On the same argv, the plain reader builds the Namespace that argparse
+builds, or declines."""
 
+import argparse
 import io
 import json
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings, strategies as st
 
-from veronese import chart_from_decomposition, enumerate_facets_circular
-from veronese.cli import main
+from veronese import chart_from_decomposition, cli, enumerate_facets_circular
+from veronese.cli import build_parser, main
 from veronese.exact import rat_str
 
 from helpers import random_composition, random_decomposition, random_ground_set
@@ -167,3 +171,61 @@ def test_main_honours_the_error_contract(request):
         assert len(lines) == 1, lines
         error = json.loads(lines[0])
         assert set(error) == {"error", "message", "context"}
+
+
+def _split(argv):
+    """argv with each "--flag=value" token split into "--flag", "value"."""
+    return [part for token in argv
+            for part in (token.split("=", 1) if token.startswith("--") else [token])]
+
+
+@settings(max_examples=2000, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(arbitrary(), well_formed(), mutated()), st.booleans())
+def test_plain_reader_builds_what_argparse_builds(request, split):
+    argv = _split(request[0]) if split else request[0]
+    plain = build_parser().parse_plain(argv)
+    event("plain" if plain else "argparse")
+    if plain is not None:
+        want = build_parser().parse_args(argv, argparse.Namespace(**cli._GLOBAL_DEFAULTS))
+        assert vars(plain) == vars(want), argv
+
+
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(well_formed())
+def test_plain_reader_accepts_every_well_formed_request(request):
+    assert build_parser().parse_plain(request[0]) is not None, request[0]
+
+
+COUNT = ["count", "--d", "4", "--arcs", "3,4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--ar", "3,4", "--d", "4"],
+    ["-h"],
+    ["count", "--help"] + COUNT[1:],
+    COUNT + ["--"],
+    COUNT + ["--d", "5"],
+    ["--check=1"] + COUNT,
+    ["--d", "4", "count", "--arcs", "3,4"],
+    COUNT + ["x"],
+    COUNT + ["count"],
+    ["--format", "csv"],
+    ["--format", "xml"] + COUNT,
+    ["count", "--d", "x", "--arcs", "3,4"],
+    ["count", "--d", "0", "--arcs", "3,4"],
+    COUNT + ["--dividers", "one"],
+    ["count", "--arcs", "3,4"],
+    COUNT + ["--dividers"],
+    ["chart", "--d", "4", "--sizes", "3,4", "--t="],
+    ["chart-order", "--d=4", "--xi=--"],
+    ["chart", "--d", "1", "--sizes", "1,1", "--t", "-3,-2"],
+    ["certify", "--file", "-"],
+], ids=["abbreviation", "help", "help-after-command", "double-dash", "repeated-flag",
+        "check-with-value", "flag-before-command", "stray-token", "second-command",
+        "no-command", "bad-choice", "bad-int", "dimension-0", "bad-dividers",
+        "missing-required", "missing-value", "empty-value", "double-dash-value",
+        "negative-list-token", "dash-value"])
+def test_plain_reader_declines(argv):
+    assert build_parser().parse_plain(argv) is None
