@@ -23,7 +23,21 @@ p = [a = 1] + [b = 0] end points to them (p > m would pick a point
 twice), and k disjoint consecutive pairs fit on the other m - p points
 in C(m - p - k, k) ways.  Every facet is such a configuration and the
 paper counts as many facets as configurations, so the sum over the
-states is the facet count.
+states is the facet count.  With F(x) = sum_k C(x - k, k) t^k, the arc's
+series in t, the number of pairs, is F(m - p): F(m - 1) for equal
+states, F(m) for a rise and F(m - 2) for a fall.  The count is the
+coefficient of t^r, r = (d - l)/2, in the trace of the product of the
+arcs' 2x2 matrices, a transfer matrix around the circle.
+
+The series are truncated at t^r and packed into one int each
+(Kronecker substitution): coefficient k sits in the W bits from k W
+on, W = n + l + 2, so a series product is one int product.  No slot
+overflows.  Slot k of a partial product counts configurations of the
+arcs so far: a sequence of divider states (at most 2^l) and a set of
+pair starts (at most 2^n), so it is below 2^(n+l) and the sum of two
+such slots is below 2^W.  Carries in an int product only move upward,
+so slots 0..r are exact, and a mask of the low (r+1) W bits drops the
+rest.  Work is O(l) multiplications of (r+1)(n+l+2)-bit ints.
 
 Labels run 0..n-1 around the circle, starting with arc 0.
 """
@@ -42,15 +56,15 @@ from .geometry import GroundSet, SignedDecomposition, chart_from_decomposition
 class CircularComposition(Value):
     fields = ("d", "arcs", "dividers")
 
-    def __init__(self, d: int, arcs: tuple, dividers: int = -1):
-        # dividers -1: derive from d and the arcs
+    def __init__(self, d: int, arcs: tuple, dividers: int | None = None):
+        # dividers None: derive from d and the arcs
         arcs = tuple(int(m) for m in arcs)
         if not arcs or any(m < 1 for m in arcs):
             raise InvalidDecompositionError(f"arc sizes must be positive: {arcs}")
         if d < 1:
             raise InvalidDecompositionError(f"dimension must be at least 1, got {d}")
         l = len(arcs) if len(arcs) > 1 else d % 2
-        if dividers not in (-1, l):
+        if dividers not in (None, l):
             raise InvalidDecompositionError(
                 f"dimension {d} and {len(arcs)} arc(s) fix {l} divider(s), "
                 f"got {dividers}"
@@ -130,37 +144,25 @@ def _binom(n, k):
     return comb(n, k)
 
 
-def _series_mul(a, b):
-    """Product of two power series truncated at the length of a."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
-
-
 def facet_count(c: CircularComposition) -> int:
-    """Closed formula for the number of facets, by a transfer matrix
-    around the circle of divider states (see the module docstring).
-
-    With M_j[a][b] = sum_k C(m_j - p - k, k) x^k for states a, b of the
-    two dividers of arc j, the count is the coefficient of x^r,
-    r = (d - l)/2, in trace(M_0 ... M_{l-1}).  The two constant state
-    sequences are the all-last and all-first divider picks; every other
-    one takes no point from the arcs where the state rises and two where
-    it falls, which interlace: the sum over the interlacing subsets A, B
-    of arc indices, factored.  Work is O(l r^2).
-    """
+    """Closed formula for the number of facets: the coefficient of t^r
+    in the trace of the arcs' transfer matrices [[F(m-1), F(m)],
+    [F(m-2), F(m-1)]], on packed ints (see the module docstring), or the
+    cyclic polytope's count when l = 0.  Each arc costs 8 int products."""
     n, d, l = c.n, c.d, c.l
     if l == 0:
         h = d // 2
         return _binom(n - h, h) + _binom(n - 1 - h, h - 1)
-    r = (d - l) // 2
-    walk = [[[1] + [0] * r if a == b else [0] * (r + 1) for b in (0, 1)]
-            for a in (0, 1)]
+    r, w = (d - l) // 2, n + l + 2
+    mask = (1 << (r + 1) * w) - 1
+    packed = {x: sum(comb(x - k, k) << k * w for k in range(min(r, x // 2) + 1))
+              for x in {m - p for m in set(c.arcs) for p in (0, 1, 2)}}
+    w00, w01, w10, w11 = 1, 0, 0, 1
     for m in c.arcs:
-        arc = [[[_binom(m - (a + 1 - b) - k, k) for k in range(r + 1)]
-                for b in (0, 1)] for a in (0, 1)]
-        walk = [[[x + y for x, y in zip(_series_mul(walk[a][0], arc[0][b]),
-                                         _series_mul(walk[a][1], arc[1][b]))]
-                 for b in (0, 1)] for a in (0, 1)]
-    return walk[0][0][r] + walk[1][1][r]
+        same, rise, fall = packed[m - 1], packed[m], packed[m - 2]
+        w00, w01 = (w00 * same + w01 * fall) & mask, (w00 * rise + w01 * same) & mask
+        w10, w11 = (w10 * same + w11 * fall) & mask, (w10 * rise + w11 * same) & mask
+    return (w00 + w11) >> r * w
 
 
 def realize(c: CircularComposition):

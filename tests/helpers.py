@@ -28,7 +28,8 @@ functions that no library code called any more, kept as oracles.
 enumerate_facets_line_literal is the complement walk that the
 facet-carrying walk replaced, and enumerate_facets_circular_walk_literal
 the walk over divider states that listed composition facets before the
-line enumerator served them.
+line enumerator served them.  facet_count_series is the transfer matrix
+on lists of coefficients that the packed-int one replaced.
 """
 
 from fractions import Fraction
@@ -800,6 +801,33 @@ def facet_count_literal(c) -> int:
                             term *= _binom(m[j] - 1 - rs[j], rs[j])
                     total += term
     return total
+
+
+def _series_mul(a, b):
+    """Product of two power series truncated at the length of a."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
+def facet_count_series(c) -> int:
+    """The facet count by the transfer matrix around the circle of
+    divider states, on truncated power series as coefficient lists:
+    with M_j[a][b] = sum_k C(m_j - p - k, k) x^k, p = a + 1 - b, the
+    count is the coefficient of x^r, r = (d - l)/2, in
+    trace(M_0 ... M_{l-1}).  Work is O(l r^2)."""
+    n, d, l = c.n, c.d, c.l
+    if l == 0:
+        h = d // 2
+        return _binom(n - h, h) + _binom(n - 1 - h, h - 1)
+    r = (d - l) // 2
+    walk = [[[1] + [0] * r if a == b else [0] * (r + 1) for b in (0, 1)]
+            for a in (0, 1)]
+    for m in c.arcs:
+        arc = [[[_binom(m - (a + 1 - b) - k, k) for k in range(r + 1)]
+                for b in (0, 1)] for a in (0, 1)]
+        walk = [[[x + y for x, y in zip(_series_mul(walk[a][0], arc[0][b]),
+                                         _series_mul(walk[a][1], arc[1][b]))]
+                 for b in (0, 1)] for a in (0, 1)]
+    return walk[0][0][r] + walk[1][1][r]
 
 
 @lru_cache(maxsize=128)

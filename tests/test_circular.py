@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     enumerate_facets_circular_literal,
     enumerate_facets_circular_walk_literal,
     facet_count_literal,
+    facet_count_series,
     random_composition,
     random_decomposition,
 )
@@ -43,7 +45,7 @@ def test_composition_validation():
         CircularComposition(3, (7,), dividers=0)  # dividerless needs even d
     with pytest.raises(InvalidDecompositionError):
         CircularComposition(4, (7,), dividers=1)  # one arc in even d has none
-    for arcs, dividers in (((5,), -1), ((5,), 0), ((2, 3), -1)):
+    for arcs, dividers in (((5,), None), ((5,), 0), ((2, 3), None)):
         with pytest.raises(InvalidDecompositionError):
             CircularComposition(0, arcs, dividers)  # no composition below d = 1
     with pytest.raises(InvalidDecompositionError):
@@ -169,6 +171,38 @@ def test_facet_count_many_arcs():
     for arcs in ((1, 2, 1, 1, 3, 1, 2, 1, 1, 1, 2, 1), (3, 1, 1, 4, 1, 2, 1, 1, 2, 5)):
         c = CircularComposition(14 - len(arcs) % 4, arcs)
         assert facet_count(c) == facet_count_literal(c)
+
+
+def test_facet_count_matches_series():
+    # the series transfer matrix reaches where the literal sum is too
+    # slow: random compositions up to d = 40 with at most 30 arcs, many
+    # arcs, one huge arc, and 1-arcs beside one large arc
+    rng = random.Random(28)
+    cs = []
+    while len(cs) < 400:
+        d = rng.randint(2, 40)
+        c = random_composition(rng, d, rng.randint(d + 1, d + 20))
+        if c.l <= 30:
+            cs.append(c)
+    cs += [CircularComposition(d, arcs) for d, arcs in (
+        (200, (2,) * 200), (400, (2,) * 300), (300, (4,) * 100), (1201, (2000,)))]
+    for d, ones, large in ((3, 2, 9), (11, 10, 40), (30, 9, 60), (25, 24, 80)):
+        for i in (0, ones // 2, ones):
+            cs.append(CircularComposition(d, (1,) * i + (large,) + (1,) * (ones - i)))
+    for c in cs:
+        assert facet_count(c) == facet_count_series(c), c
+
+
+def test_facet_count_bounded_work():
+    # 100 arcs and r = 100: eight products of 50 kbit ints per arc
+    c = CircularComposition(300, (4,) * 100)
+    assert facet_count(c) == facet_count_series(c)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        facet_count(c)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.1
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from veronese import (
 )
 
 
-def _flag(name, d, arcs, dividers=-1):
+def _flag(name, d, arcs, dividers=None):
     """The certificate oracle's flag `name` for the composition."""
     return classify_literal(CircularComposition(d, arcs, dividers))[name]
 

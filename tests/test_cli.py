@@ -479,6 +479,11 @@ def test_dividers_default_to_one_per_arc(capsys, command):
     argv = [command, "--d", "4", "--arcs", "3,4"]
     assert run(capsys, argv) == run(capsys, argv + ["--dividers", "2"])
     assert run(capsys, argv + ["--dividers", "0"])[0] == 2  # needs a single arc
+    # -1 is checked like any other value, not taken for a missing --dividers
+    for flag in (["--dividers=-1"], ["--dividers", "-1"]):
+        code, out, err = run(capsys, argv + flag)
+        assert code == 2 and out == ""
+        assert _one_json_error(err)["error"] == "invalid-decomposition"
 
 
 @pytest.mark.parametrize("command", ["facets", "count", "classify"])

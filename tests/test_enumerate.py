@@ -133,7 +133,7 @@ def _symmetric_complexes():
     yield "cross-polytope-d8", enumerate_facets_circular(CircularComposition(8, (2,) * 8))
     for n in range(3, 13):
         for d in range(2, n):
-            cyclic = CircularComposition(d, (n,), dividers=0 if d % 2 == 0 else -1)
+            cyclic = CircularComposition(d, (n,), dividers=0 if d % 2 == 0 else None)
             yield f"cyclic-{d}-{n}", enumerate_facets_circular(cyclic)
     for sizes in [(3, 4), (3, 3, 4), (3, 4, 6), (3, 3, 3, 4), (3, 3, 4, 4)]:
         yield f"cycles-{sizes}", _disjoint_cycles(*sizes)
