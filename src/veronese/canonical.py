@@ -190,7 +190,7 @@ def certificate(fc: FacetComplex) -> bytes:
         raise DegenerateComplexError("empty facet complex has no certificate")
     fc = fc.restrict_to_vertices()
     n = fc.n_labels
-    facets = [tuple(f) for f in fc.facets]
+    facets = fc.facets
     incidence = [[] for _ in range(n)]
     for i, f in enumerate(facets):
         for v in f:

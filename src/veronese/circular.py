@@ -138,12 +138,6 @@ def vertex_set(c: CircularComposition) -> tuple:
     return tuple(sorted({x for e, m in zip(ends, c.arcs) for x in (e - m, e - 1)}))
 
 
-def _binom(n, k):
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def facet_count(c: CircularComposition) -> int:
     """Closed formula for the number of facets: the coefficient of t^r
     in the trace of the arcs' transfer matrices [[F(m-1), F(m)],
@@ -152,7 +146,7 @@ def facet_count(c: CircularComposition) -> int:
     n, d, l = c.n, c.d, c.l
     if l == 0:
         h = d // 2
-        return _binom(n - h, h) + _binom(n - 1 - h, h - 1)
+        return comb(n - h, h) + comb(n - 1 - h, h - 1)
     r, w = (d - l) // 2, n + l + 2
     mask = (1 << (r + 1) * w) - 1
     packed = {x: sum(comb(x - k, k) << k * w for k in range(min(r, x // 2) + 1))

@@ -38,7 +38,6 @@ from .circular import (
     dihedral_min,
     facet_count,
     induce_composition,
-    vertex_set,
 )
 from .geometry import SignedDecomposition
 
@@ -79,7 +78,8 @@ def _reference(kind: str, d: int, nv: int) -> CircularComposition:
 def classify_composition(c: CircularComposition) -> dict:
     """The named-type flags of c, read off its arcs (see the module
     docstring)."""
-    nv, key, facets = len(vertex_set(c)), type_key(c), facet_count(c)
+    key, facets = type_key(c), facet_count(c)
+    nv = key[0]
     cyclic = _reference("cyclic", c.d, nv)
     cyclic_facets = facets if c.arcs == cyclic.arcs else facet_count(cyclic)
     return {

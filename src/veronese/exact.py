@@ -81,7 +81,7 @@ def _integer_rows(rows):
             out.append(list(row))
             continue
         fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
+        mult = lcm(*(f.denominator for f in fracs))
         out.append([int(f * mult) for f in fracs])
     return out
 

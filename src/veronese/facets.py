@@ -139,7 +139,7 @@ class FacetComplex(Value):
     @property
     def vertex_labels(self):
         """Sorted labels that appear in at least one facet."""
-        return tuple(sorted(set().union(*map(set, self.facets))))
+        return tuple(sorted(set().union(*self.facets)))
 
     def restrict_to_vertices(self) -> "FacetComplex":
         """Relabel onto 0..m-1 where m is the number of used labels."""

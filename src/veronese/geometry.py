@@ -64,18 +64,20 @@ bit modulo 61 would share a hash: a scan at d = 1 would pile up about
 n^2/3800 keys per hash.  There the memo keys a mask by its at most d+1
 member indices packed into one int, n.bit_length() bits apiece and each
 plus one so that no field is 0: a key of O(d log n) bits, not n bits.
-A pivot is a leading minor of the rows, a homogeneous
-Vandermonde determinant up to sign, so it is nonzero for distinct
-parameters; if one is 0 all the same, chi(U) falls back to
-``sign_det`` on U's rows.  A full scan of the d-subsets thus makes at
+No pivot is 0.  The pivot of the step on R(P), |P| = k+1, is the
+minor of P's rows on columns 0..k; for the parameters t_i = a_i/b_i of
+P it is +-prod_i b_i^(d-k) prod_{i<j} b_i b_j (t_j - t_i), a homogeneous
+Vandermonde determinant, and it is nonzero because ``GroundSet``
+refuses parameters that are not strictly increasing.  For the same
+reason every chi(U) is +-1.  A full scan of the d-subsets makes at
 most sum_{k=2..d+1} C(n, k) row steps of at most d entries each and no
 full elimination, where one ``sign_det`` per (d+1)-subset took about
 d^3/3 entry updates.  A single cold call only makes the rows its n - d
 subsets U need, at most d(d+1)/2 steps per U.  The two tests stay
 independent: the determinant test computes q through its own integer
-rows, never through ``q_eval`` or the sign table, and decides each
-subset by determinants, with no closed form; the lambda test takes no
-determinant.
+rows from the chart's integer form, never through ``q_eval`` or the
+sign table, and decides each subset by determinants, with no closed
+form; the lambda test takes no determinant.
 """
 
 from __future__ import annotations
@@ -253,9 +255,7 @@ def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
     """T's curve points in parameter order, each as the integer row
     sign(Q) * (b^d, a b^(d-1), ..., a^d) of t = a/b, Q = b^d L q(t): a
     positive multiple of (1,t,...,t^d)/q(t) (see the module docstring)."""
-    d = xi.d
-    scale = lcm(*(c.denominator for c in xi.coords))
-    coeffs = [c.numerator * (scale // c.denominator) for c in xi.coords]
+    d, coeffs = xi.d, xi.integer_form[1]
     rows = []
     for t in t_set.params:
         a, b = t.numerator, t.denominator
@@ -271,12 +271,11 @@ def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
 def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
     """((numerator, denominator) of a parameter -> its bit, T's curve rows,
     the elimination memo) of the instance.  The memo maps the bit mask
-    K of at most d indices to the reduced row R(K) (None if a pivot on
-    the way is 0), and a mask U of d+1 indices to chi(U) =
-    sign det(rows(U)); past 61 parameters a mask is keyed by its packed
-    member indices (see the module docstring).  _reduced fills it.  Raises
-    InvalidInstanceError, which lru_cache does not keep, if the chart
-    vanishes on T."""
+    K of at most d indices to the reduced row R(K), and a mask U of d+1
+    indices to chi(U) = sign det(rows(U)); past 61 parameters a mask is
+    keyed by its packed member indices (see the module docstring).
+    _reduced fills it.  Raises InvalidInstanceError, which lru_cache does
+    not keep, if the chart vanishes on T."""
     rows = _curve_rows(xi, t_set)
     return {t.as_integer_ratio(): 1 << i for i, t in enumerate(t_set.params)}, rows, {}
 
@@ -286,12 +285,12 @@ def _reduced(memo: dict, rows, key: int):
     packed indices past 61 parameters): chi(key) if key has d+1 indices, else
     R(key).  R(key) is row top = max(key) after one Bareiss step against
     the pivot row R(key - {top}), both rows made by the step that pivots
-    on R(key - {top, below}), below the next index down; it is None if
-    one of those pivots is 0.  The step divides by the pivot of that
-    earlier step, which R(key - {top}) keeps in its column k - 1: a row
-    made at step k keeps the step's pivot in its column k, which the
-    elimination does not read again.  chi is the sign of the one entry
-    left in R(key), or sign_det of the rows of key if a pivot is 0."""
+    on R(key - {top, below}), below the next index down.  The step divides
+    by the pivot of that earlier step, which R(key - {top}) keeps in its
+    column k - 1: a row made at step k keeps the step's pivot in its column
+    k, which the elimination does not read again.  No pivot is 0 on curve
+    rows (see the module docstring), and chi is the sign of the one entry
+    left in R(key)."""
     n = len(rows)
     slot = key
     if n > 61:
@@ -308,22 +307,13 @@ def _reduced(memo: dict, rows, key: int):
     if not rest:
         row = rows[top]
     else:
-        below = 1 << (rest.bit_length() - 1)
         k = rest.bit_count() - 1
         pivot_row = _reduced(memo, rows, rest)
-        row = _reduced(memo, rows, key ^ below)
-        if pivot_row is None or row is None or pivot_row[k] == 0:
-            row = None
-        else:
-            row = list(row)
-            bareiss_step((row,), pivot_row, k, pivot_row[k - 1] if k else 1)
-            row[k] = pivot_row[k]
-    if key.bit_count() < len(rows[0]):
-        memo[slot] = row
-        return row
-    c = memo[slot] = sign(row[-1]) if row is not None else sign_det(
-        [r for i, r in enumerate(rows) if key >> i & 1])
-    return c
+        row = list(_reduced(memo, rows, key ^ 1 << (rest.bit_length() - 1)))
+        bareiss_step((row,), pivot_row, k, pivot_row[k - 1] if k else 1)
+        row[k] = pivot_row[k]
+    entry = memo[slot] = row if key.bit_count() < len(rows[0]) else sign(row[-1])
+    return entry
 
 
 def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
@@ -352,7 +342,7 @@ def facet_test_determinant(xi: Chart, t_set: GroundSet, s_values) -> bool:
         # row j moves past the rows of S above it, (mask >> j).bit_count() of them
         if (mask >> j).bit_count() & 1:
             c = -c
-        if not c or first and c != first:
+        if first and c != first:
             return False
         first = c
     return first != 0

@@ -438,17 +438,26 @@ def test_cold_determinant_call_stays_lazy(monkeypatch, d, n):
         assert 0 < len(steps) <= (n - d) * d * (d + 1) // 2
 
 
-def test_wide_ground_sets_keep_memo_hashes_apart():
+def test_wide_ground_sets_keep_memo_hashes_apart(monkeypatch):
     """Past 61 parameters the memo keys masks by their packed member
     indices, since int masks would share hashes (see the module docstring): every memo key
-    hashes apart, and the scan agrees with the lambda test and, on a
-    sample, with the literal oracle."""
+    hashes apart, the scan takes no full determinant and agrees with the
+    lambda test and, on a sample, with the literal oracle."""
     rng = random.Random(914)
+    determinants = []
+    sign_det = geometry.sign_det
+
+    def counted(rows):
+        determinants.append(rows)
+        return sign_det(rows)
+
+    monkeypatch.setattr(geometry, "sign_det", counted)
     for d, n in ((1, 130), (2, 70)):
         xi, t_set = random_instance(rng, d, n)
         params = t_set.params
         found = tuple(idxs for idxs in combinations(range(n), d)
                       if facet_test_determinant(xi, t_set, [params[i] for i in idxs]))
+        assert determinants == []
         assert found == enumerate_facets_geometric(xi, t_set).facets
         memo = geometry._determinant_memo(xi, t_set)[2]
         assert len({hash(key) for key in memo}) == len(memo)
@@ -462,9 +471,11 @@ def test_wide_ground_sets_keep_memo_hashes_apart():
 
 
 def test_chirotope_memo_matches_literal_oracle():
+    """chi agrees with one full elimination per subset, and on curve rows
+    no pivot is 0 and no chi is 0 (see the geometry module docstring)."""
     rng = random.Random(909)
-    for case in range(36):
-        d = 1 + case % 6
+    for case in range(48):
+        d = 1 + case % 8
         xi, t_set = random_instance(rng, d, rng.randint(d + 1, 10))
         n = t_set.n
         # a scan in random order fills part of the memo; _reduced the rest
@@ -477,28 +488,13 @@ def test_chirotope_memo_matches_literal_oracle():
             key = _mask(u)
             got = memo[key] if key in memo else geometry._reduced(memo, rows, key)
             assert got == chirotope_literal(rows, u), (xi, t_set, u)
-
-
-def test_chirotope_falls_back_to_sign_det_on_a_zero_pivot(monkeypatch):
-    # row 0 has a zero leading entry, rows 1 and 2 a zero leading 2 x 2
-    # minor, and row 5 is twice row 1
-    rows = [[0, 1, 5], [1, 2, 3], [2, 4, 7], [3, 1, 1], [1, 0, 1], [2, 4, 6]]
-    determinants = []
-    sign_det = geometry.sign_det
-
-    def counted(matrix):
-        determinants.append(1)
-        return sign_det(matrix)
-
-    monkeypatch.setattr(geometry, "sign_det", counted)
-    memo, zero_pivots, signs = {}, 0, set()
-    for u in combinations(range(len(rows)), 3):
-        got = geometry._reduced(memo, rows, _mask(u))
-        assert got == memo[_mask(u)] == sign_det([rows[i] for i in u]), u
-        signs.add(got)
-        zero_pivots += any(sign_det([rows[i][:k] for i in u[:k]]) == 0 for k in (1, 2))
-    assert 0 < zero_pivots == len(determinants) < comb(len(rows), 3)
-    assert signs == {-1, 0, 1}
+        # n <= 61: the memo is keyed by the mask; R(K) keeps its pivot in
+        # column |K| - 1
+        for key, entry in memo.items():
+            if key.bit_count() <= d:
+                assert entry[key.bit_count() - 1] != 0, (xi, t_set, key)
+            else:
+                assert entry in (1, -1), (xi, t_set, key)
 
 
 def test_lambda_sweep_matches_literal_oracle():
