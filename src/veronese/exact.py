@@ -3,11 +3,13 @@
 Scalars are ``fractions.Fraction`` throughout (arbitrary precision,
 always stored reduced, denominator positive), so equality is structural
 and arithmetic never rounds.  ``rat``/``rat_str`` fix the "p/q" wire
-format used in all JSON payloads.  ``rat`` refuses exponents ("1e5"):
-Fraction would compute 10**exp in full, unbounded work for a short
-string.  Plain ASCII "p" and "p/q" strings are split by one regular
-expression and built from two ints; every other string goes to
-Fraction's own parser, so both paths accept and refuse alike.
+format used in all JSON payloads.  ``rat`` tries a string first, as that
+is what the CLI hands it, before the ``numbers.Rational`` checks, which
+go through the ABC machinery.  Plain ASCII "p" and "p/q" strings are
+split by one regular expression and built from two ints; every other
+string goes to Fraction's own parser, so both paths accept and refuse
+alike.  Such a string with an exponent ("1e5") is refused: Fraction
+would compute 10**exp in full, unbounded work for a short string.
 
 The kernel's loops run on ints, scaled by positive factors so that no
 value or sign changes.  ``sign_det`` clears each row's denominators and
@@ -15,8 +17,9 @@ runs ``bareiss_step``, one fraction-free elimination step, to the end;
 ``geometry`` shares those steps between the determinants of an instance.
 ``is_power_of_linear_form`` scales c_j = xi_j / C(d,j) by their common
 denominator D > 0 and compares the 2 x 2 minors of the integers D c_j,
-which are D^2 times the rational ones.  ``geometry.q_eval`` evaluates
-L b^d q(a/b) as an integer and divides by L b^d > 0 once.
+which are D^2 times the rational ones.  ``geometry`` evaluates
+L b^d q(a/b) as an integer: its sign is that of q(a/b), and
+``geometry.q_eval`` divides it by L b^d > 0 once.
 """
 
 from __future__ import annotations
@@ -33,31 +36,31 @@ _PLAIN = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 def rat(value) -> Fraction:
     """Parse a rational from an int, Fraction or a "p/q", "p" or decimal
     string; a string with an exponent is refused."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise InvalidChartError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if "e" in text or "E" in text:
+        plain = _PLAIN.fullmatch(text)
+        if plain is None and ("e" in text or "E" in text):
             raise InvalidChartError(
                 f"cannot parse rational {value!r}: exponents are refused")
         try:
-            plain = _PLAIN.fullmatch(text)
             if plain is None:
                 return Fraction(text)
             p, q = plain.groups()
             return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidChartError(f"cannot parse rational {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise InvalidChartError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
     raise InvalidChartError(f"cannot parse rational {value!r}")
 
 
 def rat_str(value: Fraction) -> str:
     """Serialize as "p" for integers, "p/q" otherwise."""
-    value = Fraction(value)
+    value = value if type(value) is Fraction else Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -134,7 +137,7 @@ def is_power_of_linear_form(xi, d: int) -> bool:
     With c_j = xi_j / C(d,j) this holds iff the 2 x d matrix with rows
     (c_0..c_{d-1}) and (c_1..c_d) has rank <= 1, tested via 2x2 minors.
     """
-    coords = [Fraction(x) for x in xi]
+    coords = [x if type(x) is Fraction else Fraction(x) for x in xi]
     if len(coords) != d + 1:
         raise DimensionMismatchError(
             f"chart has {len(coords)} entries, expected {d + 1}"

@@ -9,14 +9,17 @@ determinants of curve-point matrices; both tests live here and share no
 code beyond rational arithmetic.  ``cross_check`` runs them beside the
 two line characterizations of ``facets``.
 
-``q_eval`` works in integers.  With L the lcm of the chart's
-denominators, C_i = L xi_i (kept on the chart) and t = a/b, b > 0, it
-computes Q = sum_i C_i a^i b^(d-i) by homogeneous Horner and returns
-Fraction(Q, L b^d).  That is q(t), since L b^d q(t) = Q, made with one
-normalization instead of the 2d of Horner's rule in Fractions; and as
-L b^d > 0, Q has the sign of q(t).  ``chart_from_decomposition``
-likewise expands prod (v t - u) over the gap midpoints u/v in integers
-and divides by prod v once.
+q is evaluated in integers.  With L the lcm of the chart's
+denominators, C_i = L xi_i (kept on the chart) and t = a/b, b > 0,
+``_scaled_q`` computes Q = sum_i C_i a^i b^(d-i) by homogeneous Horner.
+That is L b^d q(t), and as L b^d > 0, Q has the sign of q(t): the sign
+table of an instance is read off Q alone, with no Fraction made or
+compared.  ``q_eval`` stays the Fraction entry point: it returns
+Fraction(Q, L b^d), one normalization instead of the 2d of Horner's
+rule in Fractions.  ``chart_from_decomposition`` likewise forms each gap
+midpoint u/v from its two parameters' integer numerators and
+denominators, expands prod (v t - u) in integers, takes the first sign
+from Q of that integer polynomial and divides by prod v once.
 
 Both facet tests name a subset of T's indices by one int bit mask,
 bit i for the i-th parameter.
@@ -75,9 +78,9 @@ full elimination, where one ``sign_det`` per (d+1)-subset took about
 d^3/3 entry updates.  A single cold call only makes the rows its n - d
 subsets U need, at most d(d+1)/2 steps per U.  The two tests stay
 independent: the determinant test computes q through its own integer
-rows from the chart's integer form, never through ``q_eval`` or the
-sign table, and decides each subset by determinants, with no closed
-form; the lambda test takes no determinant.
+rows from the chart's integer form, never through ``_scaled_q``,
+``q_eval`` or the sign table, and decides each subset by determinants,
+with no closed form; the lambda test takes no determinant.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, groupby
-from math import lcm
+from itertools import combinations, groupby, pairwise
+from math import gcd, lcm
 
 from .errors import (
     CrossCheckError,
@@ -116,7 +119,9 @@ class GroundSet(Value):
 
     def __init__(self, params: tuple):
         ts = tuple(t if type(t) is Fraction else Fraction(t) for t in params)
-        if any(a >= b for a, b in zip(ts, ts[1:])):
+        # a/b >= c/e iff a e >= c b, as b, e > 0
+        ratios = pairwise(t.as_integer_ratio() for t in ts)
+        if any(a * e >= c * b for (a, b), (c, e) in ratios):
             raise InvalidInstanceError("parameters must be strictly increasing")
         object.__setattr__(self, "params", ts)
 
@@ -183,23 +188,29 @@ class SignedDecomposition(Value):
         return sum(self.sizes)
 
 
-def q_eval(xi: Chart, t) -> Fraction:
-    """q(t) from Q(a, b) = sum_i C_i a^i b^(d-i) at t = a/b (see the
-    module docstring): acc = C_d, then acc = acc a + C_i b^(d-i)."""
-    t = t if type(t) is Fraction else Fraction(t)
-    a, b = t.numerator, t.denominator
-    scale, coeffs = xi.integer_form
+def _scaled_q(coeffs, t) -> int:
+    """Q(a, b) = sum_i C_i a^i b^(d-i) at t = a/b, b > 0, for the integer
+    coefficients C_0..C_d (see the module docstring): acc = C_d, then
+    acc = acc a + C_i b^(d-i)."""
+    a, b = t.as_integer_ratio()
     acc = coeffs[-1]
     power = 1  # b^(d-i)
     for c in coeffs[-2::-1]:
         power *= b
         acc = acc * a + c * power
-    return Fraction(acc, scale * power)
+    return acc
+
+
+def q_eval(xi: Chart, t) -> Fraction:
+    """q(t) = Q / (L b^d) at t = a/b (see the module docstring)."""
+    t = t if type(t) is Fraction else Fraction(t)
+    scale, coeffs = xi.integer_form
+    return Fraction(_scaled_q(coeffs, t), scale * t.denominator ** xi.d)
 
 
 def curve_point(xi: Chart, t) -> tuple:
     """The generating point (1,t,...,t^d)/q(t)."""
-    t = Fraction(t)
+    t = t if type(t) is Fraction else Fraction(t)
     q = q_eval(xi, t)
     if q == 0:
         raise PointAtInfinityError(f"denominator vanishes at t={t}")
@@ -207,13 +218,15 @@ def curve_point(xi: Chart, t) -> tuple:
 
 
 def _q_signs(xi: Chart, t_set: GroundSet) -> list:
-    """sign q(t) at each parameter of T, which q must not vanish on."""
+    """sign q(t) at each parameter of T, which q must not vanish on: the
+    sign of the integer Q (see the module docstring)."""
+    coeffs = xi.integer_form[1]
     signs = []
     for t in t_set.params:
-        s = sign(q_eval(xi, t))
-        if s == 0:
+        q = _scaled_q(coeffs, t)
+        if q == 0:
             raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
-        signs.append(s)
+        signs.append(1 if q > 0 else -1)
     return signs
 
 
@@ -243,7 +256,7 @@ def _positive_mask(xi: Chart, t_set: GroundSet) -> int:
 
 def facet_test_lambda(xi: Chart, t_set: GroundSet, s_values) -> bool:
     """Facet iff lambda_S has one constant nonzero sign on T minus S."""
-    s = set(Fraction(v) for v in s_values)
+    s = {v if type(v) is Fraction else Fraction(v) for v in s_values}
     if len(s) != xi.d:
         raise DimensionMismatchError(f"expected a {xi.d}-subset, got {len(s)} values")
     positive = _positive_mask(xi, t_set)
@@ -419,17 +432,20 @@ def chart_from_decomposition(dec: SignedDecomposition, t_set: GroundSet) -> Char
     pos = 0
     for k, size in enumerate(dec.sizes[:-1], 1):
         pos += size
-        mid = (t_set.params[pos - 1] + t_set.params[pos]) / 2
-        u, v = mid.numerator, mid.denominator
+        # (a/b + c/e) / 2 = (a e + c b) / (2 b e), in lowest terms
+        a, b = t_set.params[pos - 1].as_integer_ratio()
+        c, e = t_set.params[pos].as_integer_ratio()
+        u, v = a * e + c * b, 2 * b * e
+        g = gcd(u, v)
+        u, v = u // g, v // g
         for i in range(k, 0, -1):
             ints[i] = v * ints[i - 1] - u * ints[i]
         ints[0] = -u * ints[0]
         den *= v
-    coeffs = [Fraction(p, den) for p in ints]
-    xi = Chart(tuple(coeffs))
-    if sign(q_eval(xi, t_set.params[0])) != dec.first_sign:
-        xi = Chart(tuple(-c for c in coeffs))
-    return xi
+    # sign q(t_0) is that of Q of the integer polynomial, as den > 0
+    if (_scaled_q(ints, t_set.params[0]) > 0) != (dec.first_sign > 0):
+        ints = [-p for p in ints]
+    return Chart(tuple(Fraction(p, den) for p in ints))
 
 
 def vertices_geometric(xi: Chart, t_set: GroundSet) -> tuple:

@@ -12,9 +12,9 @@ With _reference_certificate_literal it is the one certificate-based
 classification of the flags, since the library reads every flag off the
 arcs; _neighbourly, its test of every floor(d/2)-subset of vertices
 against the facets, lives here with it.
-q_eval_literal, chart_from_decomposition_literal and
-is_power_of_linear_form_literal are the Fraction evaluations that the
-integer ones replaced.  chirotope_literal and one_lambda_sign_literal are
+q_eval_literal, q_signs_literal, chart_from_decomposition_literal,
+ground_set_literal and is_power_of_linear_form_literal are the Fraction
+evaluations and comparisons that the integer ones replaced.  chirotope_literal and one_lambda_sign_literal are
 the per-subset determinant and the per-parameter count that the shared
 elimination and the one-pass sign sweep of the geometric tests replaced;
 one_lambda_sweep_literal is that sweep, which the bit-mask predicate of
@@ -495,6 +495,26 @@ def q_eval_literal(xi, t) -> Fraction:
     for c in reversed(xi.coords):
         acc = acc * t + c
     return acc
+
+
+def q_signs_literal(xi, t_set) -> list:
+    """sign q(t) at each parameter of T, from q_eval_literal."""
+    signs = []
+    for t in t_set.params:
+        s = sign(q_eval_literal(xi, t))
+        if s == 0:
+            raise InvalidInstanceError(f"chart vanishes at parameter t={t}")
+        signs.append(s)
+    return signs
+
+
+def ground_set_literal(params) -> tuple:
+    """The parameters as Fractions, refused unless strictly increasing
+    by Fraction comparison."""
+    ts = tuple(Fraction(t) for t in params)
+    if any(a >= b for a, b in zip(ts, ts[1:])):
+        raise InvalidInstanceError("parameters must be strictly increasing")
+    return ts
 
 
 def chart_from_decomposition_literal(dec, t_set):

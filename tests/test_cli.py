@@ -5,15 +5,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from veronese import (CircularComposition, FacetComplex, cli, enumerate_facets_circular,
-                      q_eval)
+from veronese import CircularComposition, FacetComplex, cli, enumerate_facets_circular
 from veronese.cli import main
+from veronese.geometry import _scaled_q
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 EXAMPLE = ["facets", "--d", "4", "--t=-3,-2,-1,1,2,3,4", "--xi=0,-1,0,0,0"]
@@ -220,8 +219,8 @@ def _no_facets(*args):
     (EXAMPLE, "veronese.geometry.s123_decompose", lambda dec, positions: None),
     # q's sign flipped at the interior parameter 2 of EXAMPLE: the lambda
     # and line tests read the wrong signs, the determinant test its own rows
-    (EXAMPLE, "veronese.geometry.q_eval",
-     lambda xi, t: -q_eval(xi, t) if t == 2 else q_eval(xi, t)),
+    (EXAMPLE, "veronese.geometry._scaled_q",
+     lambda coeffs, t: -_scaled_q(coeffs, t) if t == 2 else _scaled_q(coeffs, t)),
     # the composition is cross-checked on realize(c)
     (["vertices", "--d", "4", "--arcs", "3,4"], "veronese.geometry.s123_decompose",
      lambda dec, positions: None),
@@ -253,7 +252,7 @@ def test_decompose_requires_t_and_xi(argv):
 def test_decompose_sign_change_overflow_exit_3(capsys, monkeypatch):
     import veronese.geometry as geometry
 
-    monkeypatch.setattr(geometry, "q_eval", lambda xi, t: Fraction(-1) ** t)
+    monkeypatch.setattr(geometry, "_scaled_q", lambda coeffs, t: (-1) ** t.numerator)
     code, out, err = run(capsys, ["decompose", "--d", "2",
                                   "--t=1,2,3,4,5", "--xi=1,0,0"])
     assert code == 3 and out == ""

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import comb
 
 import pytest
@@ -26,6 +26,7 @@ from veronese import (
     facet_test_determinant,
     facet_test_lambda,
     q_eval,
+    rat,
     vertices_geometric,
 )
 
@@ -35,11 +36,13 @@ from helpers import (
     elementary_symmetric,
     facet_test_determinant_literal,
     facet_test_lambda_literal,
+    ground_set_literal,
     lambda_eval,
     one_lambda_sign_literal,
     one_lambda_sweep_literal,
     outcome,
     q_eval_literal,
+    q_signs_literal,
     random_chart,
     random_decomposition,
     random_ground_set,
@@ -110,6 +113,68 @@ def test_chart_from_decomposition_matches_literal_oracle():
         dec = random_decomposition(rng, d, rng.choice([n, n, n, n + 1]))
         got = outcome(chart_from_decomposition, dec, t_set)
         assert got == outcome(chart_from_decomposition_literal, dec, t_set), (dec, t_set)
+
+
+def test_ground_set_matches_fraction_order_check():
+    rng = random.Random(914)
+    refused = 0
+    for _ in range(2000):
+        params = sorted(_random_rational(rng) for _ in range(rng.randint(0, 8)))
+        if params and rng.random() < 0.5:
+            # a value again: as it is, as "p/q" or "2p/2q" after rat, as the
+            # string "3p/3q", or as an int
+            i = rng.randrange(len(params))
+            v = params[i]
+            params.insert(i + rng.randint(0, 1), rng.choice([
+                v, rat(f"{v.numerator}/{v.denominator}"),
+                rat(f"{2 * v.numerator}/{2 * v.denominator}"),
+                f"{3 * v.numerator}/{3 * v.denominator}",
+                int(v) if v.denominator == 1 else v]))
+        if len(params) > 1 and rng.random() < 0.3:
+            # a value a hair above its successor, or two neighbours swapped
+            i = rng.randrange(len(params) - 1)
+            if rng.random() < 0.5:
+                params[i] = Fraction(params[i + 1]) + Fraction(1, 10 ** 12)
+            else:
+                params[i], params[i + 1] = params[i + 1], params[i]
+        got = outcome(lambda p: GroundSet(tuple(p)).params, params)
+        assert got == outcome(ground_set_literal, params), params
+        refused += got[0] == "raised"
+    assert 300 < refused < 1700
+    assert GroundSet((Fraction(-1, 10 ** 12), 0, Fraction(1, 10 ** 12))).n == 3
+    with pytest.raises(InvalidInstanceError):
+        GroundSet((rat("1/2"), rat("2/4")))
+    with pytest.raises(InvalidInstanceError):
+        GroundSet((Fraction(1, 10 ** 12 - 1), Fraction(1, 10 ** 12)))
+
+
+def _sign_tables(xi, t_set):
+    dec = decompose_chart(xi, t_set)
+    return dec.sizes, dec.first_sign, geometry._positive_mask(xi, t_set)
+
+
+def _sign_tables_literal(xi, t_set):
+    signs = q_signs_literal(xi, t_set)
+    sizes = tuple(len(list(g)) for _, g in groupby(signs))
+    return sizes, signs[0], sum(1 << i for i, s in enumerate(signs) if s > 0)
+
+
+def test_sign_tables_match_literal_oracle():
+    rng = random.Random(913)
+    vanished = 0
+    for _ in range(1500):
+        d = rng.randint(0, 12)
+        n = rng.randint(1, 16)
+        t_set = random_ground_set(rng, n, max_den=rng.choice([1, 8, 10 ** 12]))
+        # roots at parameters of T, or coefficients with large denominators
+        roots = rng.sample(t_set.params, rng.randint(0, min(d, n))) if rng.random() < 0.3 else []
+        xi = random_chart(rng, d, roots)
+        if rng.random() < 0.3:
+            xi = Chart(tuple(_random_rational(rng) for _ in range(d)) + (rng.randint(1, 9),))
+        got = outcome(_sign_tables, xi, t_set)
+        assert got == outcome(_sign_tables_literal, xi, t_set), (xi, t_set)
+        vanished += got[0] == "raised"
+    assert 100 < vanished < 1000
 
 
 def test_curve_point():
@@ -197,7 +262,7 @@ def test_decompose_chart_rejects_too_many_sign_changes(monkeypatch):
     import veronese.geometry as geometry
 
     # five alternating signs are four sign changes, more than d = 2 allows
-    monkeypatch.setattr(geometry, "q_eval", lambda xi, t: Fraction(-1) ** t)
+    monkeypatch.setattr(geometry, "_scaled_q", lambda coeffs, t: (-1) ** t.numerator)
     with pytest.raises(CrossCheckError):
         decompose_chart(Chart((1, 0, 0)), GroundSet((1, 2, 3, 4, 5)))
 
