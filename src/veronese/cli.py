@@ -18,17 +18,19 @@ command's own flags, each spelled in full and given at most once, as
 ``--flag value`` or ``--flag=value``.  Every other argv (an abbreviation,
 ``-h``, ``--``, a repeated flag, a value that argparse would refuse or
 might read as a flag) goes to argparse, which alone writes usage and
-error text.  Both read the one declaration of the flags in
-``build_parser``.
+error text.  ``build_parser`` declares the flags once, as plain data;
+the plain reader's tables come from it, and so does the argparse
+parser, which is built, and argparse imported, only when the plain
+reader first declines an argv.  A well-formed argv loads no argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .canonical import certificate, table_report
 from .circular import (
@@ -75,14 +77,17 @@ def _ints(text):
 
 
 def _dimension(text):
-    """A --d value: an integer, at least 1."""
+    """A --d value: an integer, at least 1.  A bad value raises argparse's
+    ArgumentTypeError, whose message argparse prints; argparse is imported
+    only then, as the plain reader then leaves the argv to argparse."""
     try:
-        d = int(text)
+        if (d := int(text)) >= 1:
+            return d
+        message = f"the dimension must be at least 1, got {d}"
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if d < 1:
-        raise argparse.ArgumentTypeError(f"the dimension must be at least 1, got {d}")
-    return d
+        message = f"invalid int value: {text!r}"
+    import argparse
+    raise argparse.ArgumentTypeError(message)
 
 
 RANGE_CAP = 1000  # the most values an "a..b" range may hold
@@ -113,7 +118,7 @@ def _source(args):
         raise InputError("provide either --t/--xi or --arcs")
     if arcs is not None:
         return CircularComposition(args.d, _ints(arcs), getattr(args, "dividers", None))
-    if hasattr(args, "dividers"):
+    if getattr(args, "dividers", None) is not None:
         raise InputError("--dividers applies only to a composition (--arcs)")
     if args.xi is None:
         raise InputError("--t requires --xi")
@@ -244,31 +249,44 @@ def _emit(payloads, csv_rows, fmt):
             print(json.dumps(payload, indent=2 if fmt == "pretty" else None))
 
 
-# the values of the global flags when they are not given; the flags
-# themselves suppress their defaults (see build_parser)
+# the values of the global flags when they are not given; argparse
+# suppresses their defaults (see _Parser._argparse)
 _GLOBAL_DEFAULTS = {"format": "json", "check": False}
 
+# argparse's values of the keywords a flag's declaration leaves out
+_KEYWORD_DEFAULTS = dict(action=None, choices=None, type=None, required=False, default=None)
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as one JSON error object, exit 2.
 
-    build_parser keeps on the top-level parser the action of every flag
-    it adds: ``global_flags`` maps a global flag to its action, and
-    ``commands`` maps a command to its func and the actions of its flags,
-    the global ones included.  parse_plain reads only these tables."""
+def _table(arguments):
+    """Per flag of the (flag, argparse keywords) arguments, its dest and
+    its keywords, argparse's defaults filling in those not given."""
+    return {flag: SimpleNamespace(**{**_KEYWORD_DEFAULTS, **keywords},
+                                  dest=flag[2:].replace("-", "_"))
+            for flag, keywords in arguments}
 
-    def error(self, message):
-        _fail("invalid-input", message, {"usage": self.format_usage().strip()})
-        self.exit(2)
+
+class _Parser:
+    """Reads an argv against the flag declaration of build_parser.
+
+    ``global_flags`` maps a global flag to its entry (see _table), and
+    ``commands`` maps a command to its func and the entries of its flags,
+    the global ones included.  parse_plain reads only these tables;
+    parse_args hands the argv to argparse."""
+
+    def __init__(self, global_flags, commands):
+        self.declaration = global_flags, commands
+        self.global_flags = _table(global_flags)
+        self.commands = {name: (func, {**self.global_flags, **_table(arguments)})
+                         for name, _, func, arguments in commands}
 
     def parse_plain(self, argv):
-        """The Namespace that parse_args builds from a plain argv: one
+        """The namespace that parse_args builds from a plain argv: one
         command, the global flags on either side of it, and after it its
         own flags, each given at most once; every flag spelled in full, as
         "--flag value" or "--flag=value".  None for any other argv, or for
         a value that is empty, "--", not a choice or not convertible;
-        parse_args then reads the argv, and it alone writes usage and
-        error text.
+        parse_args then reads the argv, and argparse alone writes usage
+        and error text.
 
         A value in a token of its own may start with "-" only if ASCII
         digits follow: no option here looks like a negative number, so
@@ -282,127 +300,132 @@ class _Parser(argparse.ArgumentParser):
                 func, flags = self.commands[token]
                 continue
             flag, eq, value = token.partition("=")
-            action = flags.get(flag)
+            entry = flags.get(flag)
             # a global flag may come again, and the last one holds, as in argparse
-            if action is None or action.dest in values and flag not in self.global_flags:
+            if entry is None or entry.dest in values and flag not in self.global_flags:
                 return None
-            if action.nargs == 0:  # --check takes no value
+            if entry.action == "store_true":  # --check takes no value
                 if eq:
                     return None
-                values[action.dest] = action.const
+                values[entry.dest] = True
                 continue
             if not eq:
                 value = next(tokens, "")
                 if value[:1] == "-" and not (value[1:].isdigit() and value.isascii()):
                     return None
-            if value in ("", "--") or action.choices and value not in action.choices:
+            if value in ("", "--") or entry.choices and value not in entry.choices:
                 return None
             try:
-                values[action.dest] = action.type(value) if action.type else value
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                values[entry.dest] = entry.type(value) if entry.type else value
+            except Exception:  # a refused value, ArgumentTypeError included, is argparse's
                 return None
         if command is None:
             return None
-        for action in flags.values():
-            if action.dest not in values:
-                if action.required:
+        for entry in flags.values():
+            if entry.dest not in values:
+                if entry.required:
                     return None
-                if action.default is not argparse.SUPPRESS:
-                    values[action.dest] = action.default
-        return argparse.Namespace(command=command, func=func, **values)
+                values[entry.dest] = entry.default
+        return SimpleNamespace(command=command, func=func, **values)
 
+    def parse_args(self, argv, namespace):
+        """argparse's reading of argv into namespace, which holds the
+        global defaults; a usage error exits 2 with one JSON error."""
+        args = self._argparse.parse_args(argv, namespace)
+        # argparse before Python 3.13 reads "--opt=--" as [], and 3.13 as
+        # "--"; both are refused alike
+        if [] in vars(args).values() or "--" in vars(args).values():
+            self._argparse.error("an option value cannot be '--'")
+        return args
 
-def _add(parser, arguments):
-    """Add each (flag, keywords) argument to parser; its actions by flag."""
-    return {flag: parser.add_argument(flag, **keywords) for flag, keywords in arguments}
+    @functools.cached_property
+    def _argparse(self):
+        """The argparse parser of the declaration, built on first use.
+
+        The global flags sit on the main parser and on every subparser, so
+        they are accepted on either side of the subcommand; their defaults
+        are suppressed, so a subparser never overwrites a value given
+        before it."""
+        import argparse
+
+        class UsageParser(argparse.ArgumentParser):
+            def error(self, message):  # one JSON error object, exit 2
+                _fail("invalid-input", message, {"usage": self.format_usage().strip()})
+                self.exit(2)
+
+        global_flags, commands = self.declaration
+        common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+        for flag, keywords in global_flags:
+            common.add_argument(flag, **keywords)
+        parser = UsageParser(prog="veronese", parents=[common])
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, help_text, func, arguments in commands:
+            p = sub.add_parser(name, help=help_text, parents=[common])
+            p.set_defaults(func=func)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+        return parser
 
 
 def _required(argument):
-    flag, keywords = argument
-    return flag, dict(keywords, required=True)
+    return argument[0], dict(argument[1], required=True)
 
 
 @functools.cache
 def build_parser():
-    # one parser per process: it does not depend on the argv, and argparse
-    # does not change a parser while it parses, so every call of main()
-    # shares it (build_parser.__wrapped__ builds a fresh one)
+    # one reader per process: it does not depend on the argv, and neither
+    # it nor its argparse parser changes while it parses, so every call of
+    # main() shares it (build_parser.__wrapped__ builds a fresh one)
     #
-    # the global flags sit on the main parser and on every subparser, so
-    # they are accepted on either side of the subcommand; their defaults
-    # are suppressed, so a subparser never overwrites a value given before
-    # it, and main() supplies _GLOBAL_DEFAULTS instead
-    common = argparse.ArgumentParser(add_help=False,
-                                     argument_default=argparse.SUPPRESS)
-    global_flags = _add(common, [
+    # each flag is declared once, as (flag, argparse keywords), and each
+    # command as (name, help, func, its flags)
+    global_flags = (
         ("--format", dict(choices=("json", "csv", "pretty"),
                           help="output format (default json)")),
-        ("--check", dict(action="store_true",
-                         help="cross-check: facets, vertices and decompose compare "
-                              "the four facet characterizations, count compares the "
-                              "formula with enumeration (exponential in the number "
-                              "of arcs); other commands ignore it"))])
-    parser = _Parser(prog="veronese", parents=[common])
-    parser.global_flags, parser.commands = global_flags, {}
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_command(name, help_text, func, *arguments):
-        # argparse and parse_plain both read the actions made here
-        p = sub.add_parser(name, help=help_text, parents=[common])
-        p.set_defaults(func=func)
-        parser.commands[name] = func, {**global_flags, **_add(p, arguments)}
-
+        ("--check", dict(action="store_true", help="cross-check: facets, vertices and "
+                         "decompose compare the four facet characterizations, count "
+                         "compares the formula with enumeration (exponential in the "
+                         "number of arcs); other commands ignore it")))
     # the input options, each declared once; _required marks a command's copy
     t = ("--t", dict(help="comma-separated parameters, e.g. -3,-2,-1,1/2"))
     xi = ("--xi", dict(help="comma-separated chart coefficients"))
     arcs = ("--arcs", dict(help="comma-separated arc sizes"))
-    dividers = ("--dividers", dict(
-        type=int, default=argparse.SUPPRESS,
-        help="number of dividers; may be left out, since d and the arcs fix it: "
-             "one per arc, or d mod 2 for a single arc; only with --arcs"))
+    dividers = ("--dividers", dict(type=int, help="number of dividers; may be left out, "
+                                   "since d and the arcs fix it: one per arc, or d mod 2 "
+                                   "for a single arc; only with --arcs"))
     dimension = ("--d", dict(type=_dimension, required=True,
                              help="dimension d of the polytope, at least 1"))
-    either_source = (t, xi, arcs, dividers)
-    composition = (_required(arcs), dividers)
-
-    add_command("facets", "enumerate facets of an instance or composition",
-                _cmd_facets, dimension, *either_source)
-    add_command("decompose", "signed decomposition and induced composition",
-                _cmd_decompose, dimension, _required(t), _required(xi))
-    add_command("chart", "chart realizing a signed decomposition", _cmd_chart, dimension,
-                ("--sizes", dict(required=True,
-                                 help="comma-separated sizes of the constant-sign "
-                                      "intervals of q, left to right")),
-                ("--first-sign", dict(type=int, default=1,
-                                      help="sign of q on the first interval, "
-                                           "1 or -1 (default 1)")),
-                _required(t))
-    add_command("count", "facet count by formula", _cmd_count, dimension, *composition)
-    add_command("classify", "named-type flags of a composition", _cmd_classify,
-                dimension, *composition)
-    add_command("vertices", "vertex labels", _cmd_vertices, dimension, *either_source)
-    add_command("chart-order", "is the chart a d-th power of a linear form",
-                _cmd_chart_order, dimension, _required(xi))
-    add_command("enumerate", "combinatorial type counts per (d, n)", _cmd_enumerate,
-                ("--d", dict(required=True, help="dimension or range a..b")),
-                ("--n", dict(required=True, help="vertex count or range a..b")))
-    add_command("certify", "canonical certificate of a facet complex", _cmd_certify,
-                ("--file", dict(default="-",
-                                help='JSON {"n_labels", "d", "facets"}; "-" reads stdin')))
-    return parser
+    either_source = (dimension, t, xi, arcs, dividers)
+    composition = (dimension, _required(arcs), dividers)
+    return _Parser(global_flags, (
+        ("facets", "enumerate facets of an instance or composition",
+         _cmd_facets, either_source),
+        ("decompose", "signed decomposition and induced composition",
+         _cmd_decompose, (dimension, _required(t), _required(xi))),
+        ("chart", "chart realizing a signed decomposition", _cmd_chart, (dimension,
+            ("--sizes", dict(required=True, help="comma-separated sizes of the "
+                             "constant-sign intervals of q, left to right")),
+            ("--first-sign", dict(type=int, default=1, help="sign of q on the first "
+                                  "interval, 1 or -1 (default 1)")),
+            _required(t))),
+        ("count", "facet count by formula", _cmd_count, composition),
+        ("classify", "named-type flags of a composition", _cmd_classify, composition),
+        ("vertices", "vertex labels", _cmd_vertices, either_source),
+        ("chart-order", "is the chart a d-th power of a linear form",
+         _cmd_chart_order, (dimension, _required(xi))),
+        ("enumerate", "combinatorial type counts per (d, n)", _cmd_enumerate, (
+            ("--d", dict(required=True, help="dimension or range a..b")),
+            ("--n", dict(required=True, help="vertex count or range a..b")))),
+        ("certify", "canonical certificate of a facet complex", _cmd_certify, (
+            ("--file", dict(default="-",
+                            help='JSON {"n_labels", "d", "facets"}; "-" reads stdin')),)),
+    ))
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_plain(argv)
-    if args is None:
-        args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
-        # argparse before Python 3.13 reads "--opt=--" as [], and 3.13 as
-        # "--"; both are refused alike
-        values = vars(args).values()
-        if [] in values or "--" in values:
-            parser.error("an option value cannot be '--'")
+    args = parser.parse_plain(argv) or parser.parse_args(argv, SimpleNamespace(**_GLOBAL_DEFAULTS))
     try:
         payloads, csv_rows = args.func(args)
     except (InputError, CrossCheckError) as exc:

@@ -18,8 +18,9 @@ compared.  ``q_eval`` stays the Fraction entry point: it returns
 Fraction(Q, L b^d), one normalization instead of the 2d of Horner's
 rule in Fractions.  ``chart_from_decomposition`` likewise forms each gap
 midpoint u/v from its two parameters' integer numerators and
-denominators, expands prod (v t - u) in integers, takes the first sign
-from Q of that integer polynomial and divides by prod v once.
+denominators, expands prod (v t - u) in integers and divides by prod v
+once.  Its first sign needs no evaluation: all k midpoints lie above
+t_0, so sign q(t_0) = (-1)^k.
 
 Both facet tests name a subset of T's indices by one int bit mask,
 bit i for the i-th parameter.
@@ -442,8 +443,9 @@ def chart_from_decomposition(dec: SignedDecomposition, t_set: GroundSet) -> Char
             ints[i] = v * ints[i - 1] - u * ints[i]
         ints[0] = -u * ints[0]
         den *= v
-    # sign q(t_0) is that of Q of the integer polynomial, as den > 0
-    if (_scaled_q(ints, t_set.params[0]) > 0) != (dec.first_sign > 0):
+    # every midpoint lies above t_0, so each factor (v t_0 - u) is negative
+    # and sign q(t_0) = (-1)^k
+    if (dec.k % 2 == 0) != (dec.first_sign > 0):
         ints = [-p for p in ints]
     return Chart(tuple(Fraction(p, den) for p in ints))
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 from veronese import CircularComposition, FacetComplex, cli, enumerate_facets_circular
 from veronese.cli import main
+from veronese.exact import rat_str
 from veronese.geometry import _scaled_q
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -572,19 +574,60 @@ def test_shared_parser_matches_a_fresh_parser_per_call(capsys, monkeypatch):
     assert {code for code, _, _ in fresh} == {0, 2}
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    # -S too, so no site hook preloads typing; the stdlib modules named
-    # here would add about half of a fresh process's startup
-    code = ("import sys\n"
-            "before = set(sys.modules)\n"
-            "import veronese.cli\n"
-            "veronese.cli.build_parser()\n"
-            "print(' '.join(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'}"
-            " & (set(sys.modules) - before))))\n")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c",
+def _fresh_child(code, check=True):
+    """The finished python -I -S child that runs code with the checkout's
+    src first on its path; -S, so that no site hook preloads typing."""
+    return subprocess.run([sys.executable, "-I", "-S", "-c",
                            f"import sys; sys.path.insert(0, {SRC!r})\n" + code],
-                          capture_output=True, text=True, timeout=60, check=True)
+                          capture_output=True, text=True, timeout=60, check=check)
+
+
+# child code that prints which of the stdlib modules that would add about
+# half of a fresh process's startup were loaded since `before`
+PRINT_LOADED = ("print(*sorted((set(sys.modules) - before) & {'argparse', 'dataclasses',"
+                " 'gettext', 'inspect', 'pathlib', 'typing'}))\n")
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # nor argparse, which is imported only when the plain reader declines
+    done = _fresh_child("before = set(sys.modules)\n"
+                        "import veronese.cli\n"
+                        "veronese.cli.build_parser()\n" + PRINT_LOADED)
     assert done.stdout.split() == []
+
+
+def test_well_formed_request_loads_no_argparse():
+    done = _fresh_child("before = set(sys.modules)\n"
+                        "from veronese.cli import main\n"
+                        "print(main(['count', '--d', '4', '--arcs', '3,4']))\n"
+                        + PRINT_LOADED)
+    assert done.stdout.splitlines() == ['{"count": 12}', "0", ""]
+
+
+def test_declined_request_builds_argparse_on_demand():
+    done = _fresh_child("from veronese.cli import main\n"
+                        "main(['count', '--d', 'x', '--arcs', '3,4'])\n", check=False)
+    assert done.returncode == 2 and done.stdout == ""
+    error = _one_json_error(done.stderr)
+    assert error["error"] == "invalid-input" and error["message"] == (
+        "argument --d: invalid int value: 'x'")
+    assert error["context"]["usage"].startswith("usage: veronese count ")
+
+
+def test_chart_first_sign_by_parity_at_large_d(capsys):
+    # sizes 1,1 on T = {1/2, 1} put the one root at 3/4: the chart is
+    # +-(4t - 3)/4, signed so that q(1/2) > 0.  Taking that sign from
+    # _scaled_q over all d+1 coefficients would build powers b^(d-i) of
+    # d log b bits; the zero coefficients above degree 1 only scale Q by a
+    # power of b > 0, so _scaled_q of 4t - 3 alone gives the same sign
+    d = 400_000
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["chart", "--d", str(d), "--sizes", "1,1", "--t", "1/2,1"])
+    assert time.perf_counter() - start < 1.5
+    sign = 1 if _scaled_q((-3, 4), Fraction(1, 2)) > 0 else -1
+    want = [rat_str(Fraction(sign * c, 4)) for c in (-3, 4)] + ["0"] * (d - 1)
+    assert code == 0 and err == ""
+    assert out == json.dumps({"xi": want}) + "\n"
 
 
 def test_modules_import_in_one_order():
