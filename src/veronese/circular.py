@@ -79,9 +79,7 @@ class CircularComposition(Value):
             raise UnderdeterminedInstanceError(
                 f"need more than d={d} points, got {sum(arcs)}"
             )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "dividers", l)
+        self._assign(d, arcs, l)
 
     @property
     def n(self) -> int:

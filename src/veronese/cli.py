@@ -178,7 +178,7 @@ def _cmd_chart(args):
     t_set = GroundSet(_params(args.t))
     dec = SignedDecomposition(_ints(args.sizes), args.first_sign, args.d)
     xi = chart_from_decomposition(dec, t_set)
-    out = {"xi": [rat_str(x) for x in xi.coords]}
+    out = {"xi": list(xi.coords)}  # Fractions, written by _emit
     return [out], [out["xi"]]
 
 
@@ -233,20 +233,35 @@ def _cmd_certify(args):
         fc = FacetComplex(n_labels, d, tuple(tuple(f) for f in data["facets"]))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # deep nesting too
         raise InputError(f"malformed facet complex: {exc}") from exc
     out = {"certificate": certificate(fc).hex()}
     return [out], [[out["certificate"]]]
 
 
+# the writer of each JSON format; a Fraction is written as its rat_str
+_JSON = {fmt: json.JSONEncoder(indent=indent, default=rat_str).encode
+         for fmt, indent in (("json", None), ("pretty", 2))}
+
+
 def _emit(payloads, csv_rows, fmt):
-    """Print the CSV rows, or each payload as one JSON document."""
-    if fmt == "csv":
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
-    else:
-        for payload in payloads:
-            print(json.dumps(payload, indent=2 if fmt == "pretty" else None))
+    """Print the CSV rows (a Fraction as its str, which is its rat_str),
+    or each payload as one JSON document.  Answers are exact at any size:
+    CPython's limit on the digits of an int made a str (3.10.7 and later)
+    is lifted while they are written, so it guards the input alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "csv":
+            for row in csv_rows:
+                print(",".join(str(x) for x in row))
+        else:
+            for payload in payloads:
+                print(_JSON[fmt](payload))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # the values of the global flags when they are not given; argparse

@@ -11,22 +11,30 @@ string goes to Fraction's own parser, so both paths accept and refuse
 alike.  Such a string with an exponent ("1e5") is refused: Fraction
 would compute 10**exp in full, unbounded work for a short string.
 
-The kernel's loops run on ints, scaled by positive factors so that no
-value or sign changes.  ``sign_det`` clears each row's denominators and
-runs ``bareiss_step``, one fraction-free elimination step, to the end;
-``geometry`` shares those steps between the determinants of an instance.
-``is_power_of_linear_form`` scales c_j = xi_j / C(d,j) by their common
-denominator D > 0 and compares the 2 x 2 minors of the integers D c_j,
-which are D^2 times the rational ones.  ``geometry`` evaluates
-L b^d q(a/b) as an integer: its sign is that of q(a/b), and
-``geometry.q_eval`` divides it by L b^d > 0 once.
+The kernel's loops run on ints.  ``clear_denominators`` is the one place
+that turns rationals into them: it returns L > 0, the lcm of their
+denominators, and the ints L v_i, which keep every sign and ratio.
+``sign_det`` clears each row so and runs ``bareiss_step``, one
+fraction-free elimination step, to the end; ``geometry`` shares those
+steps between the determinants of an instance, and keeps a chart's
+cleared coefficients C_i = L xi_i, with which it evaluates L b^d q(a/b)
+as an integer: its sign is that of q(a/b), and ``geometry.q_eval``
+divides it by L b^d > 0 once.
+
+``is_power_of_linear_form`` reads the same C_j.  A power c (a + b t)^d
+has xi_j = c C(d,j) a^(d-j) b^j, so when no xi_j is 0 the ratios
+xi_{j+1} C(d,j) / (xi_j C(d,j+1)) = xi_{j+1} (j+1) / (xi_j (d-j)) all
+equal b/a; one pass compares each with the first, cross-multiplied in
+ints of the size of the C_j, with no binomial.  A zero coefficient
+leaves the powers c a^d and c b^d t^d alone: one nonzero coefficient,
+at j = 0 or at j = d.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 from .errors import DimensionMismatchError, InvalidChartError
 
@@ -74,19 +82,11 @@ def sign(value) -> int:
     return 0
 
 
-def _integer_rows(rows):
-    """Clear denominators row by row; the multipliers are positive, so
-    the determinant sign is unchanged.  Rows of ints are copied as they
-    are (a bool is not taken for an int)."""
-    out = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
-            continue
-        fracs = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fracs))
-        out.append([int(f * mult) for f in fracs])
-    return out
+def clear_denominators(values) -> tuple:
+    """(L, (L v_0, L v_1, ...)) of ints and Fractions v_i: L > 0 the lcm
+    of their denominators, so each L v_i is an int of v_i's sign."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def bareiss_step(rows, pivot_row, k: int, prev: int) -> None:
@@ -113,7 +113,10 @@ def sign_det(rows) -> int:
         raise DimensionMismatchError(f"matrix is not square: {n} rows")
     if n == 0:
         return 1
-    m = _integer_rows(rows)
+    # each row times its positive L: the sign of the determinant stays; a
+    # bool is not taken for an int
+    m = [list(clear_denominators([x if type(x) is int else Fraction(x) for x in row])[1])
+         for row in rows]
     flip = 1
     prev = 1
     for k in range(n - 1):
@@ -132,10 +135,10 @@ def sign_det(rows) -> int:
 
 def is_power_of_linear_form(xi, d: int) -> bool:
     """Whether the binary form with coefficients xi (degree d) is a
-    scalar multiple of a d-th power of a linear form.
-
-    With c_j = xi_j / C(d,j) this holds iff the 2 x d matrix with rows
-    (c_0..c_{d-1}) and (c_1..c_d) has rank <= 1, tested via 2x2 minors.
+    scalar multiple of a d-th power of a linear form: with C_j = L xi_j
+    (see ``clear_denominators``), either one C_j alone is nonzero, at
+    j = 0 or j = d, or none is 0 and C_{j+1} (j+1) / (C_j (d-j)) is the
+    same for every j (see the module docstring).
     """
     coords = [x if type(x) is Fraction else Fraction(x) for x in xi]
     if len(coords) != d + 1:
@@ -144,11 +147,8 @@ def is_power_of_linear_form(xi, d: int) -> bool:
         )
     if all(x == 0 for x in coords):
         raise InvalidChartError("all-zero chart")
-    dens = [x.denominator * comb(d, j) for j, x in enumerate(coords)]
-    scale = lcm(*dens)
-    c = [x.numerator * (scale // den) for x, den in zip(coords, dens)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            if c[i] * c[j + 1] != c[j] * c[i + 1]:
-                return False
-    return True
+    c = clear_denominators(coords)[1]
+    if 0 in c:
+        return sum(map(bool, c)) == 1 and (c[0] != 0 or c[d] != 0)
+    # C_{j+1} (j+1) / (C_j (d-j)) == C_1 / (C_0 d), cross-multiplied
+    return all(c[j + 1] * (j + 1) * c[0] * d == c[1] * c[j] * (d - j) for j in range(1, d))

@@ -61,12 +61,17 @@ from .errors import (
 class Value:
     """An immutable value: equality, hash and repr over the attributes
     named in ``fields``, as a frozen dataclass gives them.  Assignment
-    raises, so ``__init__`` sets each field with ``object.__setattr__``,
+    raises, so ``_assign`` sets the fields with ``object.__setattr__``,
     as a dataclass does: on CPython 3.11 and later that stores the values
     without building the instance dict that ``self.__dict__`` would.
     ``cached_property`` writes the instance ``__dict__`` directly."""
 
     fields = ()
+
+    def _assign(self, *values) -> None:
+        """Set the fields, in the order of ``fields``, to values."""
+        for name, value in zip(self.fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.fields)
@@ -120,12 +125,7 @@ class FacetComplex(Value):
                 )
             if f and (f[0] < 0 or f[-1] >= n_labels):
                 raise InvalidIndexError(f"facet {f} out of label range")
-        self._set(n_labels, d, canon)
-
-    def _set(self, n_labels, d, facets):
-        object.__setattr__(self, "n_labels", n_labels)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "facets", facets)
+        self._assign(n_labels, d, canon)
 
     @classmethod
     def _trusted(cls, n_labels: int, d: int, facets) -> "FacetComplex":
@@ -133,7 +133,7 @@ class FacetComplex(Value):
         sorted tuple of d labels in range and no two equal: only the list
         is sorted.  Outside input goes through the checks of __init__."""
         self = cls.__new__(cls)
-        self._set(n_labels, d, tuple(sorted(facets)))
+        self._assign(n_labels, d, tuple(sorted(facets)))
         return self
 
     @property
@@ -220,9 +220,7 @@ class S123(Value):
 
     def __init__(self, s1: tuple, s2: tuple, s3: tuple):
         # s3 is a tuple of (a, a+1) position pairs
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "s3", s3)
+        self._assign(s1, s2, s3)
 
 
 def s123_decompose(decomposition, positions):

@@ -91,7 +91,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, groupby, pairwise
-from math import gcd, lcm
+from math import gcd
 
 from .errors import (
     CrossCheckError,
@@ -102,7 +102,7 @@ from .errors import (
     PointAtInfinityError,
     UnderdeterminedInstanceError,
 )
-from .exact import bareiss_step, sign, sign_det
+from .exact import bareiss_step, clear_denominators, sign, sign_det
 from .facets import (
     FacetComplex,
     LineTables,
@@ -124,7 +124,7 @@ class GroundSet(Value):
         ratios = pairwise(t.as_integer_ratio() for t in ts)
         if any(a * e >= c * b for (a, b), (c, e) in ratios):
             raise InvalidInstanceError("parameters must be strictly increasing")
-        object.__setattr__(self, "params", ts)
+        self._assign(ts)
 
     @property
     def n(self) -> int:
@@ -140,14 +140,13 @@ class Chart(Value):
         cs = tuple(x if type(x) is Fraction else Fraction(x) for x in coords)
         if not cs or all(x == 0 for x in cs):
             raise InvalidChartError("chart must be nonzero")
-        object.__setattr__(self, "coords", cs)
+        self._assign(cs)
 
     @cached_property
     def integer_form(self) -> tuple:
         """(L, (C_0, ..., C_d)): L the lcm of the denominators and
         C_i = L xi_i, the integer coefficients of L q."""
-        scale = lcm(*(c.denominator for c in self.coords))
-        return scale, tuple(c.numerator * (scale // c.denominator) for c in self.coords)
+        return clear_denominators(self.coords)
 
     @property
     def d(self) -> int:
@@ -170,9 +169,7 @@ class SignedDecomposition(Value):
             raise InvalidDecompositionError(
                 f"{len(sizes) - 1} sign changes exceed dimension {d}"
             )
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "first_sign", first_sign)
-        object.__setattr__(self, "d", d)
+        self._assign(sizes, first_sign, d)
 
     @cached_property
     def line_tables(self) -> LineTables:

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,17 @@ from pathlib import Path
 
 import pytest
 
-from veronese import CircularComposition, FacetComplex, cli, enumerate_facets_circular
+from veronese import (
+    CircularComposition,
+    FacetComplex,
+    GroundSet,
+    SignedDecomposition,
+    chart_from_decomposition,
+    classify_composition,
+    cli,
+    enumerate_facets_circular,
+    facet_count,
+)
 from veronese.cli import main
 from veronese.exact import rat_str
 from veronese.geometry import _scaled_q
@@ -648,3 +659,95 @@ def test_modules_import_in_one_order():
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == [f"{name} veronese.{name}" for name in order]
+
+
+def _digit_limit():
+    """CPython's int-to-str digit limit, 0 where there is none (before
+    Python 3.10.7) or it is lifted."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _with_no_digit_limit(make):
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return make()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+BIG = 10 ** 3000 // 9  # 3000 ones: a parameter, and with BIG + 1 a midpoint
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("argv, payload", [
+    (["count", "--d", "30000", "--arcs", "60000"],
+     lambda: {"count": facet_count(CircularComposition(30000, (60000,)))}),
+    # at d = 30000 classify spends 18 s in the dihedral minimum of its
+    # stacked reference; the facet count of 10^11 points in dimension 1000
+    # has more than 4300 digits too
+    (["classify", "--d", "1000", "--arcs", str(10 ** 11)],
+     lambda: classify_composition(CircularComposition(1000, (10 ** 11,)))),
+    (["chart", "--d", "2", "--sizes", "1,1,1", "--t", f"1,{BIG},{BIG + 1}"],
+     lambda: {"xi": [rat_str(x) for x in chart_from_decomposition(
+         SignedDecomposition((1, 1, 1), 1, 2), GroundSet((1, BIG, BIG + 1))).coords]}),
+], ids=["count", "classify", "chart"])
+def test_answers_past_the_digit_limit_are_exact(capsys, argv, payload, fmt):
+    limit = _digit_limit()
+    code, out, err = run(capsys, ["--format", fmt] + argv)
+    assert code == 0 and err == ""
+    assert _digit_limit() == limit  # lifted only while the answer is written
+
+    def written():
+        doc = payload()
+        if fmt == "csv":  # one row: the payload's values, chart's list spread out
+            row = [x for v in doc.values() for x in (v if isinstance(v, list) else [v])]
+            return ",".join(map(str, row)) + "\n"
+        return json.dumps(doc, indent=2 if fmt == "pretty" else None) + "\n"
+
+    assert out == _with_no_digit_limit(written)
+    assert max(map(len, re.findall("[0-9]+", out))) > 4300
+
+
+@pytest.mark.skipif(not _digit_limit(), reason="no int-to-str digit limit")
+def test_digit_limit_still_guards_input(capsys):
+    limit = _digit_limit()
+    code, out, err = run(capsys, ["chart", "--d", "2", "--sizes", "1,1,1",
+                                  "--t", "1,2," + "1" * 5000])
+    assert code == 2 and out == "" and _digit_limit() == limit
+    error = _one_json_error(err)
+    assert error["error"] == "invalid-input" and "--t" in error["message"]
+
+
+def test_deeply_nested_certify_input_is_invalid_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200_000))
+    code, out, err = run(capsys, ["certify"])
+    assert code == 2 and out == ""
+    assert _one_json_error(err)["error"] == "invalid-input"
+
+
+def test_chart_order_is_linear_in_d(capsys):
+    # a 16 KB argv: one ratio per coefficient, not a 2 x 2 minor per pair
+    argv = ["chart-order", "--d", "8000", "--xi", ",".join(["0"] * 8000 + ["1"])]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (0, '{"on_curve": true}\n', "")
+
+
+@pytest.mark.parametrize("argv, code, phrase", [
+    (["enumerate", "--d", "x..3", "--n", "4"], "invalid-input", "bad range: 'x..3'"),
+    (["vertices", "--d", "2", "--t=1,2,3"], "invalid-input", "--t requires --xi"),
+    # the chart also vanishes at t = 1: the count of points is checked first
+    (["facets", "--d", "2", "--t=1,2", "--xi=-1,1,0"], "underdetermined-instance",
+     "need more than d=2 generating points, got 2"),
+    (["vertices", "--d", "2", "--t=1,2", "--xi=-1,1,0"], "underdetermined-instance",
+     "need more than d=2 generating points, got 2"),
+], ids=["bad-range", "t-without-xi", "facets-underdetermined", "vertices-underdetermined"])
+def test_input_error_names_its_cause(capsys, argv, code, phrase):
+    exit_code, out, err = run(capsys, argv)
+    assert exit_code == 2 and out == ""
+    error = _one_json_error(err)
+    assert error["error"] == code and error["message"] == phrase

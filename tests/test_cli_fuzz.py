@@ -149,6 +149,8 @@ def arbitrary(draw):
 @example((["facets", "--d", "1200", "--arcs", ",".join(["1"] * 1199 + ["2"])], ""))
 # a d = 0 complex, whose only facet is empty
 @example((["certify"], '{"n_labels": 0, "d": 0, "facets": [[]]}'))
+# JSON nested past the recursion limit
+@example((["certify"], "[" * 200_000))
 def test_main_honours_the_error_contract(request):
     argv, stdin = request
     out, err = io.StringIO(), io.StringIO()

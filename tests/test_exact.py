@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from fractions import Fraction
 from math import comb
 
@@ -31,6 +32,9 @@ def test_rat_parsing():
     assert rat("-7") == Fraction(-7)
     assert rat("+2/6") == Fraction(1, 3)
     assert rat(5) == Fraction(5)
+    assert rat(Fraction(-3, 4)) == Fraction(-3, 4)
+    with pytest.raises(InvalidChartError):
+        rat(True)  # a bool is not taken for an int
     with pytest.raises(InvalidChartError):
         rat("1/0")
     with pytest.raises(InvalidChartError):
@@ -88,6 +92,7 @@ def test_rat_str_integers():
 
 def test_sign_det_identity():
     assert sign_det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    assert sign_det([]) == 1  # the empty product
 
 
 def test_sign_det_vandermonde():
@@ -256,3 +261,17 @@ def test_is_power_matches_literal_oracle():
         answers.add(got[2] if got[0] == "returned" else got[1])
     # both answers and both input errors occurred
     assert answers == {True, False, InvalidChartError, DimensionMismatchError}
+
+
+def test_is_power_matches_literal_oracle_on_small_values():
+    # every chart over {0, +-1, 1/2, 2} with d <= 5: zero coefficients in
+    # every place, ratios that agree for a while and then do not
+    values = (0, 1, -1, Fraction(1, 2), Fraction(-1, 2), 2)
+    cases = answers = 0
+    for d in range(6):
+        for xi in product(values, repeat=d + 1):
+            got = outcome(is_power_of_linear_form, xi, d)
+            assert got == outcome(is_power_of_linear_form_literal, xi, d), (xi, d)
+            cases += 1
+            answers += got == ("returned", bool, True)
+    assert cases == 55986 and 0 < answers < cases

@@ -140,6 +140,9 @@ def test_s123_pairs_only():
 def test_s123_arity():
     with pytest.raises(DimensionMismatchError):
         s123_decompose(DEC_EXAMPLE, (1, 2, 3))
+    for positions in ((0, 1, 2, 3), (4, 5, 6, 8)):  # 1-based, n = 7
+        with pytest.raises(InvalidIndexError, match="out of range"):
+            s123_decompose(DEC_EXAMPLE, positions)
 
 
 @settings(max_examples=40, deadline=None)
