@@ -80,6 +80,19 @@ vertices it moves.
 Only subtrees whose encodings were already seen, or are the encoding of
 the twin leaf written for them, are skipped, so the minimal encoding,
 and with it every certificate byte, is unchanged.
+
+Types on n > d vertices come from compositions of n points, one per
+dihedral class (the paper's bijection).  With fewer than d dividers
+every point is a vertex; with d dividers only the first and last point
+of each arc are, so an arc of more than 2 points leaves fewer than n
+vertices.  The d-divider candidates are built directly, as the
+sequences of d arcs of 1 or 2 points, in the lexicographic order in
+which a filter over all compositions would keep them, so the first
+candidate per certificate is the same.  Distinct candidates can give
+one facet complex: at n = d + 1 every candidate is the simplex, whose
+facets are all d-subsets of 0..d.  Equal complexes have equal
+certificates, so distinct_types certifies each distinct complex of a
+call once.
 """
 
 from __future__ import annotations
@@ -293,38 +306,58 @@ def complex_invariant(fc: FacetComplex) -> tuple:
     )
 
 
+def _compositions(d: int, n: int, l: int):
+    """The compositions of n points with l dividers, one per dihedral
+    class: its lexicographically least arc sequence, in lexicographic
+    order.  Positive arc sizes are cut at l-1 of the points 1..n-1 (none
+    for a single arc) in lexicographic order, which orders the arc
+    sequences lexicographically too: each dihedral class is listed once,
+    at its least sequence, which is also its first to come."""
+    for cuts in combinations(range(1, n), max(l - 1, 0)):
+        arcs = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+        if arcs == dihedral_min(arcs):
+            yield CircularComposition(d, arcs)
+
+
 def enumerate_compositions(d: int, n_generators: int):
     """All compositions of n points with l = d, d-2, ... dividers (down
     to 0 or 1 by parity), one representative per dihedral class: its
     lexicographically least arc sequence."""
-    n = n_generators
-    out = []
-    for l in range(d % 2, d + 1, 2):
-        # positive arc sizes, cut at l-1 of the points 1..n-1 (none for a
-        # single arc) in lexicographic order, which orders the arc
-        # sequences lexicographically too: each dihedral class is listed
-        # once, at its least sequence, which is also its first to come
-        for cuts in combinations(range(1, n), max(l - 1, 0)):
-            arcs = tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
-            if arcs == dihedral_min(arcs):
-                out.append(CircularComposition(d, arcs))
-    return out
+    return [c for l in range(d % 2, d + 1, 2) for c in _compositions(d, n_generators, l)]
 
 
 def _type_candidates(d: int, n_vertices: int):
-    """Compositions covering every combinatorial type on n vertices:
+    """Compositions covering every combinatorial type on n > d vertices:
     fewer than d dividers at full size (all points are vertices), plus
-    d dividers with arcs capped at 2 (larger arcs add no vertices)."""
-    return [c for c in enumerate_compositions(d, n_vertices)
-            if c.l < d or max(c.arcs) <= 2]
+    d dividers with arcs capped at 2 (larger arcs add no vertices), in
+    the order of enumerate_compositions."""
+    n, out = n_vertices, []
+    for l in range(d % 2, d + 1, 2):
+        if l < d:
+            out += _compositions(d, n, l)
+        elif d < 2:  # a single arc, a candidate up to 2 points
+            out += [c for c in _compositions(d, n, l) if n <= 2]
+        else:
+            # d arcs of 1 or 2 points, n - d of them 2s; the positions of
+            # the 1s in combinations order list them lexicographically
+            for ones in combinations(range(d), 2 * d - n) if n <= 2 * d else ():
+                arcs = tuple(1 if i in ones else 2 for i in range(d))
+                if arcs == dihedral_min(arcs):
+                    out.append(CircularComposition(d, arcs))
+    return out
 
 
 def distinct_types(d: int, n_vertices: int):
     """One representative composition per combinatorial type, each with
-    its certificate, sorted by certificate bytes."""
-    found = {}
+    its certificate, sorted by certificate bytes.  Each distinct facet
+    complex is certified once, with the first candidate that gives it,
+    in order of first appearance, so the first candidate per certificate
+    is kept."""
+    complexes, found = {}, {}
     for c in _type_candidates(d, n_vertices):
-        found.setdefault(certificate(enumerate_facets_circular(c)), c)
+        complexes.setdefault(enumerate_facets_circular(c), c)
+    for fc, c in complexes.items():
+        found.setdefault(certificate(fc), c)
     return sorted(found.items())
 
 

@@ -117,8 +117,37 @@ def line_to_circle_map(dec: SignedDecomposition) -> tuple:
 
 def dihedral_min(arcs: tuple) -> tuple:
     """The lexicographically least rotation or reflection of a cyclic
-    sequence."""
-    return min(seq[i:] + seq[:i] for seq in (arcs, arcs[::-1]) for i in range(len(seq)))
+    sequence: the lesser of the least rotations of it and of its
+    reverse, each found in linear time.
+
+    Two candidate starts i < j are kept, whose rotations agree on their
+    first k terms.  If they differ at term k and rotation i is the
+    greater, then rotation i + p is greater than rotation j + p for
+    every p <= k, so no start i..i+k is needed and i moves past them (j
+    likewise).  The search ends with i least, when j passes the last
+    start or when the two agree on all n terms: then the sequence has
+    period j - i, and every start from j on repeats an earlier one.
+    Each step raises i + j + k, which stays below 3n."""
+    rotations = []
+    for seq in (arcs, arcs[::-1]):
+        s, n = seq + seq, len(seq)
+        i, j, k = 0, 1, 0
+        while j < n and k < n:
+            a, b = s[i + k], s[j + k]
+            if a == b:
+                k += 1
+                continue
+            if a > b:
+                i += k + 1
+            else:
+                j += k + 1
+            if i == j:
+                j += 1
+            elif i > j:
+                i, j = j, i
+            k = 0
+        rotations.append(s[i:i + n])
+    return min(rotations)
 
 
 def enumerate_facets_circular(c: CircularComposition) -> FacetComplex:

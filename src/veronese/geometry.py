@@ -50,14 +50,16 @@ s > t, (E >> t).bit_count() of them, so
     sign det(rows(sorted S); row(t)) = (-1)^#{s in S : s > t} * chi(E | 1 << t)
 
 with chi(U) = sign det(rows(U)) for a mask U of d+1 indices, its rows
-in index order.  The rows and chi are memoized per instance (a small
-LRU cache keyed by the chart and the ground set), and chi is filled by
-Bareiss elimination shared between subsets.  By Sylvester's identity
-(Bareiss 1968), after the elimination steps that pivot on the rows of
-an index set P in increasing order, the entries of a later row j are
-the (|P|+1)-minors of the rows of P and j, so they depend on P and j
-alone.  The memo keeps that reduced row, R(P | 1 << j), once per pair,
-under its mask (j is the top bit), made lazily: it is one step
+in index order.  The rows and chi are memoized for the last instance
+(an LRU cache of one entry keyed by the chart and the ground set: every
+caller scans one instance at a time, and one memo can hold 144 MB at
+d = 8, n = 20), and chi is filled by Bareiss elimination shared
+between subsets.  By Sylvester's identity (Bareiss 1968), after the
+elimination steps that pivot on the rows of an index set P in
+increasing order, the entries of a later row j are the (|P|+1)-minors
+of the rows of P and j, so they depend on P and j alone.  The memo
+keeps that reduced row, R(P | 1 << j), once per pair, under its mask
+(j is the top bit), made lazily: it is one step
 (``exact.bareiss_step``) of R(K) against the pivot row R(P), with K the
 mask P | 1 << j less P's top bit, divided exactly by the previous
 pivot, which R(P) keeps in a column the elimination has passed.
@@ -278,7 +280,7 @@ def _curve_rows(xi: Chart, t_set: GroundSet) -> list:
     return rows
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _determinant_memo(xi: Chart, t_set: GroundSet) -> tuple:
     """((numerator, denominator) of a parameter -> its bit, T's curve rows,
     the elimination memo) of the instance.  The memo maps the bit mask

@@ -30,6 +30,12 @@ facet-carrying walk replaced, and enumerate_facets_circular_walk_literal
 the walk over divider states that listed composition facets before the
 line enumerator served them.  facet_count_series is the transfer matrix
 on lists of coefficients that the packed-int one replaced.
+dihedral_min_literal is the minimum over all 2L rotations and
+reflections that the linear least-rotation search replaced.
+type_candidates_literal is the filter over all compositions that the
+direct build of the d-divider candidates replaced, and
+distinct_types_literal the type enumeration that certified every
+candidate, where the library certifies each distinct complex once.
 """
 
 from fractions import Fraction
@@ -55,6 +61,7 @@ from veronese import (
     certificate,
     chart_from_decomposition,
     curve_point,
+    enumerate_compositions,
     enumerate_facets_circular,
     induce_composition,
     is_cross_polytope,
@@ -890,3 +897,25 @@ def classify_literal(c) -> dict:
     and every floor(d/2)-subset of vertices tested against the facets."""
     fc = enumerate_facets_circular(c)
     return _classify_literal(c, fc, certificate(fc))
+
+
+def dihedral_min_literal(arcs: tuple) -> tuple:
+    """The least of all rotations of a cyclic sequence and of its
+    reverse, each built as a slice."""
+    return min(seq[i:] + seq[:i] for seq in (arcs, arcs[::-1]) for i in range(len(seq)))
+
+
+def type_candidates_literal(d: int, n_vertices: int) -> list:
+    """Every composition of n_vertices points, less those with d
+    dividers and an arc of more than 2 points."""
+    return [c for c in enumerate_compositions(d, n_vertices)
+            if c.l < d or max(c.arcs) <= 2]
+
+
+def distinct_types_literal(d: int, n_vertices: int) -> list:
+    """The first candidate per certificate, certifying every candidate,
+    sorted by certificate bytes."""
+    found = {}
+    for c in type_candidates_literal(d, n_vertices):
+        found.setdefault(certificate(enumerate_facets_circular(c)), c)
+    return sorted(found.items())

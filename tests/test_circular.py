@@ -27,6 +27,7 @@ from veronese.circular import dihedral_min
 
 from helpers import (
     _compositions_nonneg,
+    dihedral_min_literal,
     enumerate_facets_circular_literal,
     enumerate_facets_circular_walk_literal,
     facet_count_literal,
@@ -79,6 +80,21 @@ def test_canonical_arcs_examples():
     assert dihedral_min((7, 2)) == (2, 7)
     assert dihedral_min((1, 3, 1, 2)) == (1, 2, 1, 3)
     assert dihedral_min((5,)) == (5,)
+
+
+def test_dihedral_min_matches_every_rotation_and_reflection():
+    rng = random.Random(33)
+    for _ in range(3000):
+        length, alphabet = rng.randint(1, 40), rng.randint(1, 4)
+        shape = rng.choice(["random", "constant", "periodic"])
+        if shape == "random":
+            arcs = tuple(rng.randint(1, alphabet) for _ in range(length))
+        elif shape == "constant":
+            arcs = (rng.randint(1, alphabet),) * length
+        else:  # whole periods, so that the cycle is periodic too
+            period = tuple(rng.randint(1, alphabet) for _ in range(rng.randint(1, 6)))
+            arcs = period * max(1, length // len(period))
+        assert dihedral_min(arcs) == dihedral_min_literal(arcs), arcs
 
 
 @settings(max_examples=40, deadline=None)

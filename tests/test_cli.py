@@ -685,15 +685,16 @@ BIG = 10 ** 3000 // 9  # 3000 ones: a parameter, and with BIG + 1 a midpoint
 @pytest.mark.parametrize("argv, payload", [
     (["count", "--d", "30000", "--arcs", "60000"],
      lambda: {"count": facet_count(CircularComposition(30000, (60000,)))}),
-    # at d = 30000 classify spends 18 s in the dihedral minimum of its
-    # stacked reference; the facet count of 10^11 points in dimension 1000
-    # has more than 4300 digits too
+    # the facet count of 10^11 points in dimension 1000 has more than 4300
+    # digits too
     (["classify", "--d", "1000", "--arcs", str(10 ** 11)],
      lambda: classify_composition(CircularComposition(1000, (10 ** 11,)))),
+    (["classify", "--d", "30000", "--arcs", "60000"],
+     lambda: classify_composition(CircularComposition(30000, (60000,)))),
     (["chart", "--d", "2", "--sizes", "1,1,1", "--t", f"1,{BIG},{BIG + 1}"],
      lambda: {"xi": [rat_str(x) for x in chart_from_decomposition(
          SignedDecomposition((1, 1, 1), 1, 2), GroundSet((1, BIG, BIG + 1))).coords]}),
-], ids=["count", "classify", "chart"])
+], ids=["count", "classify", "classify-d30000", "chart"])
 def test_answers_past_the_digit_limit_are_exact(capsys, argv, payload, fmt):
     limit = _digit_limit()
     code, out, err = run(capsys, ["--format", fmt] + argv)

@@ -30,9 +30,13 @@ from helpers import (
     certificate_literal,
     certificate_recursive,
     certificate_unpruned,
+    distinct_types_literal,
+    outcome,
     random_composition,
     refine_literal,
+    type_candidates_literal,
 )
+from test_acceptance import TABLE_1
 
 
 def _relabel(fc: FacetComplex, perm):
@@ -350,6 +354,39 @@ def test_count_types_d8_regression_values():
     # against Perles' standard Gale diagrams in test_gale.py.  n = 13 and 14
     # (121 and 183 types) are left out: they take about 3.8 s more
     assert [count_types(8, n) for n in range(9, 13)] == [1, 4, 57, 91]
+
+
+def test_type_candidates_match_the_filter_over_all_compositions():
+    # n runs past 2d, where no d-divider candidate is left, and d = 1 has
+    # its one arc as the d-divider candidate; n <= d and d <= 0 raise the
+    # same errors or give the same empty list
+    for d in range(-1, 10):
+        for n in range(-1, d + 9):
+            assert outcome(_type_candidates, d, n) \
+                == outcome(type_candidates_literal, d, n), (d, n)
+
+
+@pytest.mark.parametrize("d, n", [(d, n) for d, row in TABLE_1.items() for n in row]
+                         + [(8, n) for n in range(9, 13)])
+def test_distinct_types_match_certifying_every_candidate(d, n):
+    assert distinct_types(d, n) == distinct_types_literal(d, n)
+
+
+def test_each_distinct_complex_is_certified_once(monkeypatch):
+    calls = []
+
+    def counted(fc):
+        calls.append(fc)
+        return certificate(fc)
+
+    monkeypatch.setattr(canonical, "certificate", counted)
+    for d, n in [(d, d + 1) for d in range(2, 10)] + [(4, 8), (5, 9), (6, 10)]:
+        calls.clear()
+        types = distinct_types(d, n)
+        complexes = {enumerate_facets_circular(c) for c in _type_candidates(d, n)}
+        assert len(calls) == len(set(calls)) == len(complexes), (d, n)
+        if n == d + 1:  # every candidate is the simplex
+            assert len(calls) == len(types) == 1, d
 
 
 def test_stacked_uniqueness_small():

@@ -20,6 +20,7 @@ from veronese import (
     PointAtInfinityError,
     SignedDecomposition,
     chart_from_decomposition,
+    cross_check,
     curve_point,
     decompose_chart,
     enumerate_facets_geometric,
@@ -417,8 +418,8 @@ def test_determinant_memo_matches_literal_oracle():
         while any(q_eval(b, t) == 0 for t in t_set.params):
             b = random_chart(rng, d, [])
         outside = Fraction(61, 2)  # beyond the span of random_ground_set
-        # two charts on one ground set, interleaved A, B, A, so the memo
-        # holds both instances at once; then equal but distinct objects
+        # two charts on one ground set, interleaved A, B, A, so B's memo
+        # evicts A's and A's is made again; then equal but distinct objects
         twins = (Chart(tuple(a.coords)), GroundSet(tuple(t_set.params)))
         for xi, ts in ((a, t_set), (b, t_set), (a, t_set), twins):
             for got, want in _determinant_scan(xi, ts, outside):
@@ -440,6 +441,15 @@ def test_determinant_memo_never_keeps_an_error():
     ok = Chart((5, 0, 1, 1))
     assert facet_test_determinant(ok, t_set, (0, 1, 3)) \
         == facet_test_determinant_literal(ok, t_set, (0, 1, 3))
+
+
+def test_determinant_memo_keeps_one_instance():
+    """Each memo can grow large, and every caller scans one instance at a
+    time, so checking several instances leaves only the last one's."""
+    rng = random.Random(933)
+    for d, n in ((2, 6), (3, 7), (4, 8)):
+        cross_check(*random_instance(rng, d, n))
+    assert geometry._determinant_memo.cache_info().currsize == 1
 
 
 def _mask(idxs) -> int:
