@@ -20,6 +20,17 @@ round retakes only the fingerprints of facets touching a vertex whose
 label changed, and re-sorts only the cells touching such a facet.  Every
 other cell's vertices keep the equal signatures they had.
 
+The root's refinement starts from its first round, which is known in
+advance.  From equal labels n-1 every fingerprint is (n-1,)*d, so a
+vertex's signature is deg(v) copies of that one tuple, and signatures
+of distinct lengths sort by length: the round splits the vertices by
+degree, in increasing order, each piece in vertex order, and the
+highest-degree piece keeps the label n-1.  So the root is built with
+those pieces as its cells, every fingerprint (n-1,)*d (() for the
+empty facet of d = 0), and refined with the vertices outside the
+highest-degree piece as the changed ones.  The labels, cells and
+fingerprints it reaches are those refined from equal labels.
+
 The search is pruned by the automorphisms it finds (McKay and Piperno,
 "Practical graph isomorphism, II", 2014).  A leaf whose encoding equals
 the best one so far yields an automorphism: the vertex of label k in one
@@ -50,11 +61,24 @@ subtree under another, with the same set of leaf encodings.
   class's consecutive members.  A node's first child individualizes
   the least vertex of its target cell, which leaves the rest of such a
   chain joined, where a star from the least member would lose every
-  generator.  The seeds are true automorphisms, so they too skip only
+  generator.  It also starts with swaps of whole twin classes: A and B
+  of one cell and of equal size at least 2 are swappable when the
+  involution that maps the i-th member of each, in sorted order, to
+  the i-th of the other maps the facet set onto itself, which the test
+  verifies by mapping every facet through A or B.  Swappability is an
+  equivalence: (B C)(A B)(B C) = (A C) for the sorted swaps of disjoint
+  classes, as conjugation by (B C) takes a_i to c_i and c_i to a_i and
+  fixes b_i.  So each class is tested against the last class of every
+  group of its size found before it, and the root starts with the swaps
+  of each group's consecutive classes.  On k disjoint edges, or the
+  antipodal pairs of a cross-polytope, these join every pair with every
+  other, and the search takes one refinement per level of its first
+  branch.  The seeds are true automorphisms, so they too skip only
   subtrees whose encodings are seen elsewhere.
 * Twin leaves: a node whose non-singleton cells each lie inside one
-  twin class is not refined further; its first leaf is written
-  directly.  Take u and w in one such cell; their labels are equal.
+  twin class, as the transpositions join them, is not refined further;
+  its first leaf is written directly.  Take u and w in one such cell;
+  their labels are equal.
   The transposition (u w) is an automorphism that fixes every other
   vertex, so it keeps every label, and individualizing any v outside
   {u, w} leaves u and w with equal signatures: no refinement on the
@@ -69,9 +93,8 @@ subtree under another, with the same set of leaf encodings.
 
 The search is a loop over `path`, the inner nodes of the current branch,
 one per depth, so no call frame is taken per level.  Each node keeps
-`fixing`, and the invariant is that it holds exactly the twin
-transpositions and the automorphisms found so far that fix the node's
-prefix pointwise.  The child for v takes those of its parent's that fix
+`fixing`, and the invariant is that it holds exactly the seeds and the
+automorphisms found so far that fix the node's prefix pointwise.  The child for v takes those of its parent's that fix
 v.  An automorphism found at a leaf is appended to every node left on
 the path after the back-jump, since each of their prefixes is part of
 the prefix the two leaves share; it is stored as the map of the
@@ -159,10 +182,21 @@ def _join(orbits, auto):
             orbits[_orbit(orbits, u)] = _orbit(orbits, w)
 
 
+def _maps_into(facets, present, auto, indices):
+    """Does `auto`, a map of the vertices it moves, take each facet of
+    `indices` to a facet?  Stops at the first that it does not."""
+    get = auto.get
+    return all(tuple(sorted(map(get, facets[i], facets[i]))) in present
+               for i in indices)
+
+
 def _twins(facets, incidence, cells):
-    """The twin transpositions to seed the search with, as maps of the
-    two vertices they swap: for each class of twins in a cell of the
-    root partition, the chain of its consecutive members in sorted order.
+    """The twin transpositions and the twin-class swaps to seed the
+    search with, as maps of the vertices they move.  The transpositions
+    are, for each class of twins in a cell of the root partition, the
+    chain of its consecutive members in sorted order; the swaps are, for
+    each group of swappable classes in a cell, the chain of its
+    consecutive classes in the order found.
 
     (u v) maps the facet set onto itself iff every facet holding u but
     not v is a facet with u replaced by v: u and v share a cell, so they
@@ -175,26 +209,46 @@ def _twins(facets, incidence, cells):
     equal closed neighbourhoods, and other twins equal open ones.  So
     the one cell of a long cycle, which has no twins, takes a linear
     number of tests, not a quadratic one.
+
+    Two classes of one cell and of equal size are swappable when the
+    swap of their members, the i-th of one in sorted order with the i-th
+    of the other, maps the facet set onto itself; it is a bijection, so
+    mapping every facet it moves into the set verifies it.  Swappable
+    classes form groups, as (B C)(A B)(B C) = (A C), so a class is
+    tested against the last class of every group of its size found
+    before it.
     """
-    present, seeds = set(facets), []
+    present, transpositions, swaps = set(facets), [], []
     for members in cells.values():
-        classes = {}  # a closed or open neighbourhood: the classes with it
+        classes, found = {}, []  # a neighbourhood: the classes with it
         for v in sorted(members):
             near = frozenset().union(*[facets[i] for i in incidence[v]])
             keys = near, near - {v}
             for twins in classes.get(keys[0], []) + classes.get(keys[1], []):
                 u = twins[-1]
-                if all(v in facets[i]
-                       or tuple(sorted([v if w == u else w for w in facets[i]])) in present
-                       for i in incidence[u]):
-                    seeds.append({u: v, v: u})
+                auto = {u: v, v: u}
+                if _maps_into(facets, present, auto,
+                              (i for i in incidence[u] if v not in facets[i])):
+                    transpositions.append(auto)
                     twins.append(v)
                     break
             else:
                 twins = [v]
+                found.append(twins)
                 for key in keys:
                     classes.setdefault(key, []).append(twins)
-    return seeds
+        groups = {}  # a class size: the groups of swappable classes of it
+        for twins in [twins for twins in found if len(twins) > 1]:
+            for group in groups.setdefault(len(twins), []):
+                auto = dict(zip(group[-1] + twins, twins + group[-1]))
+                if _maps_into(facets, present, auto,
+                              {i for w in auto for i in incidence[w]}):
+                    swaps.append(auto)
+                    group.append(twins)
+                    break
+            else:
+                groups[len(twins)].append([twins])
+    return transpositions, swaps
 
 
 def certificate(fc: FacetComplex) -> bytes:
@@ -208,16 +262,27 @@ def certificate(fc: FacetComplex) -> bytes:
     for i, f in enumerate(facets):
         for v in f:
             incidence[v].append(i)
-    # the first refinement fingerprints every facet with a vertex; a d = 0
-    # complex has only the empty facet, whose fingerprint is ()
-    labels, prints = [n - 1] * n, [()] * len(facets)
-    cells = {n - 1: list(range(n))} if n > 1 else {}
-    _refine(facets, incidence, labels, cells, prints, range(n))
-    seeds, twin = _twins(facets, incidence, cells), list(range(n))
-    for u, v in seeds:  # each chain's seeds come in sorted order
+    # the root starts from the first refinement round of equal labels:
+    # the vertices split by degree, in increasing order
+    groups = {}
+    for v in range(n):
+        groups.setdefault(len(incidence[v]), []).append(v)
+    labels, cells, end = [0] * n, {}, -1
+    for _, group in sorted(groups.items()):
+        end += len(group)
+        for v in group:
+            labels[v] = end
+        if len(group) > 1:
+            cells[end] = group
+    prints = [(n - 1,) * fc.d] * len(facets)
+    _refine(facets, incidence, labels, cells, prints,
+            [v for v in range(n) if labels[v] != n - 1])
+    transpositions, swaps = _twins(facets, incidence, cells)
+    twin = list(range(n))
+    for u, v in transpositions:  # each chain's seeds come in sorted order
         twin[v] = twin[u]
     best, path = None, []  # the minimal encoding; one inner node per depth
-    node = labels, cells, prints, (), seeds
+    node = labels, cells, prints, (), transpositions + swaps
     while node is not None:
         labels, cells, prints, prefix, fixing = node
         if any(len({twin[v] for v in members}) > 1 for members in cells.values()):

@@ -5,7 +5,9 @@ algorithms: brute-force searches, permutation matching, and direct
 definitions, used to validate the fast implementations.  Two
 exceptions keep code that the library replaced.  certificate_recursive
 is the search that the iterative certificate replaced, kept on the
-library's refinement so that the two can be compared node for node.
+library's refinement so that the two can be compared node for node, and
+root_partition_uniform its root, refined from equal labels where the
+library starts from the split by vertex degree.
 classify_literal is the certificate-based classification that the
 arc-based one replaced, kept on the library's facets and certificates.
 With _reference_certificate_literal it is the one certificate-based
@@ -330,6 +332,19 @@ def certificate_literal(fc) -> bytes:
     return f"{n}:{fc.d}:{body}".encode("ascii")
 
 
+def root_partition_uniform(facets, incidence):
+    """The root partition of the certificate search, refined from equal
+    labels: the labels, cells and fingerprints that the library's start
+    from vertex degrees must reach.  Every fingerprint starts as () so
+    that a d = 0 complex's empty facet, which no vertex touches, keeps
+    it."""
+    n = len(incidence)
+    labels, prints = [n - 1] * n, [()] * len(facets)
+    cells = {n - 1: list(range(n))} if n > 1 else {}
+    _refine(facets, incidence, labels, cells, prints, range(n))
+    return labels, cells, prints
+
+
 def certificate_recursive(fc, seeds=()) -> bytes:
     """The back-jumping certificate search as one recursive closure with a
     global automorphism list, rescanned at every node against its prefix
@@ -410,10 +425,7 @@ def certificate_recursive(fc, seeds=()) -> bytes:
                 return jump
         return None
 
-    labels, prints = [n - 1] * n, [None] * len(facets)
-    cells = {n - 1: list(range(n))} if n > 1 else {}
-    _refine(facets, incidence, labels, cells, prints, range(n))
-    search(labels, cells, prints, ())
+    search(*root_partition_uniform(facets, incidence), ())
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
 

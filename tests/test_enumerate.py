@@ -132,9 +132,19 @@ def _disjoint_edges(k):
     return FacetComplex(2 * k, 2, tuple((2 * i, 2 * i + 1) for i in range(k)))
 
 
+def _cross_polytope(k):
+    """The composition of k arcs of 2 points in dimension k: the k-dimensional
+    cross-polytope, whose k antipodal pairs are twin classes of size 2."""
+    return enumerate_facets_circular(CircularComposition(k, (2,) * k))
+
+
 def _symmetric_complexes():
     yield "simplex-12", FacetComplex(12, 11, tuple(combinations(range(12), 11)))
-    yield "cross-polytope-d8", enumerate_facets_circular(CircularComposition(8, (2,) * 8))
+    yield "cross-polytope-d8", _cross_polytope(8)
+    rng = random.Random(34)
+    for k in range(3, 9):  # its vertex order no longer pairs antipodes
+        fc = _cross_polytope(k)
+        yield f"cross-polytope-d{k}-relabelled", _relabel(fc, rng.sample(range(2 * k), 2 * k))
     for n in range(3, 13):
         for d in range(2, n):
             cyclic = CircularComposition(d, (n,), dividers=0 if d % 2 == 0 else None)
@@ -143,6 +153,8 @@ def _symmetric_complexes():
         yield f"cycles-{sizes}", _disjoint_cycles(*sizes)
     for k in (1, 2, 5, 12):
         yield f"edges-{k}", _disjoint_edges(k)
+    for k in (2, 3, 5):  # twin classes of 3, swappable with each other
+        yield f"triangles-{k}", _disjoint_cycles(*(3,) * k)
     # the open cells become twin classes below the root here
     yield "arcs-6-(2,2,2,1,1,2)", enumerate_facets_circular(
         CircularComposition(6, (2, 2, 2, 1, 1, 2)))
@@ -155,29 +167,36 @@ def _symmetric_complexes():
 def test_certificate_matches_literal_on_symmetric_complexes():
     # the back-jumping, incremental search against the orbit-pruned
     # search with a full refinement per node, and against the recursive
-    # search it replaced, byte for byte
+    # search it replaced, byte for byte; complexes of at most 8 vertices
+    # also against the search without pruning, but for the cyclic
+    # polytopes, which near a simplex take up to 8! leaves there
     rng = random.Random(7)
+    unpruned = 0
     for name, fc in _symmetric_complexes():
         expected = certificate_literal(fc)
+        if fc.restrict_to_vertices().n_labels <= 8 and not name.startswith("cyclic"):
+            assert certificate_unpruned(fc) == expected, name
+            unpruned += 1
         assert certificate(fc) == certificate_recursive(fc) == expected, name
         for _ in range(3):
             relabelled = _relabel(fc, rng.sample(range(fc.n_labels), fc.n_labels))
             assert certificate(relabelled) == certificate_recursive(relabelled) \
                 == expected, name
+    assert unpruned > 0
 
 
 def _recorded_seeds(monkeypatch):
-    """A list that holds, after each `certificate` call, the twin
-    transpositions its search was seeded with."""
-    twins, seeds = canonical._twins, []
+    """Two lists that hold, after each `certificate` call, the twin
+    transpositions and the twin-class swaps its search was seeded with."""
+    twins, transpositions, swaps = canonical._twins, [], []
 
     def recording_twins(*args):
         found = twins(*args)
-        seeds[:] = found
+        transpositions[:], swaps[:] = found
         return found
 
     monkeypatch.setattr(canonical, "_twins", recording_twins)
-    return seeds
+    return transpositions, swaps
 
 
 def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
@@ -196,13 +215,15 @@ def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
 
     monkeypatch.setattr(canonical, "_refine", counted("iterative"))
     monkeypatch.setattr(helpers, "_refine", counted("recursive"))
-    seeds = _recorded_seeds(monkeypatch)
+    transpositions, swaps = _recorded_seeds(monkeypatch)
     complexes = list(_symmetric_complexes()) + [
         (c, enumerate_facets_circular(c)) for c in _type_candidates(6, 10)]
     unseeded = 0
     for name, fc in complexes:
         calls.update(iterative=0, recursive=0)
-        assert certificate(fc) == certificate_recursive(fc, seeds), name
+        got = certificate(fc)
+        seeds = transpositions + swaps
+        assert got == certificate_recursive(fc, seeds), name
         assert 0 < calls["iterative"] <= calls["recursive"], name
         if not seeds:
             unseeded += 1
@@ -214,13 +235,18 @@ def test_search_visits_the_nodes_of_the_recursive_search(monkeypatch):
 
 
 def test_twin_seeds_are_the_automorphic_transpositions(monkeypatch):
-    # every seed swaps two vertices and maps each facet to a facet, and
-    # the classes its chains join hold exactly the pairs whose
-    # transposition does, found by mapping every facet for every pair
-    seeds = _recorded_seeds(monkeypatch)
+    # every seed maps each facet to a facet.  The transpositions swap two
+    # vertices, and the classes their chains join hold exactly the pairs
+    # whose transposition does, found by mapping every facet for every
+    # pair.  Each class swap exchanges two whole twin classes, the i-th
+    # members in sorted order, and the swaps join exactly the pairs of
+    # classes of equal size at least 2 whose swap does, found by mapping
+    # every facet for every pair of classes
+    transpositions, swaps = _recorded_seeds(monkeypatch)
     complexes = [fc for _, fc in _symmetric_complexes()] + [
         enumerate_facets_circular(c) for d in range(1, 7)
         for n in range(d + 1, d + 6) for c in _type_candidates(d, n)]
+    joined = 0
     for fc in complexes:
         certificate(fc)
         fc = fc.restrict_to_vertices()
@@ -229,7 +255,8 @@ def test_twin_seeds_are_the_automorphic_transpositions(monkeypatch):
             return {tuple(sorted(auto.get(v, v) for v in f)) for f in fc.facets} \
                 == set(fc.facets)
 
-        assert all(len(auto) == 2 and automorphic(auto) for auto in seeds), fc
+        assert all(automorphic(auto) for auto in transpositions + swaps), fc
+        assert all(len(auto) == 2 for auto in transpositions), fc
         root = list(range(fc.n_labels))
 
         def find(v):
@@ -237,18 +264,42 @@ def test_twin_seeds_are_the_automorphic_transpositions(monkeypatch):
                 v = root[v]
             return v
 
-        for u, v in seeds:
+        for u, v in transpositions:
             root[find(u)] = find(v)
         pairs = list(combinations(range(fc.n_labels), 2))
         assert {(u, v) for u, v in pairs if find(u) == find(v)} \
             == {(u, v) for u, v in pairs if automorphic({u: v, v: u})}, fc
 
+        classes = {}
+        for v in range(fc.n_labels):
+            classes.setdefault(find(v), []).append(v)
 
-@pytest.mark.parametrize("d", [11, 40])
-def test_simplex_boundary_search_is_one_path(monkeypatch, d):
-    # every pair of the d+1 vertices is a twin pair, so the root's one
-    # cell is a twin class: one refinement, at the root, and its first
-    # leaf is the certificate
+        def swap(a, b):
+            return dict(zip(a + b, b + a))
+
+        joins = {a: a for a in classes}
+
+        def group(a):
+            while joins[a] != a:
+                a = joins[a]
+            return a
+
+        for auto in swaps:
+            u = next(iter(auto))
+            a, b = find(u), find(auto[u])
+            assert auto == swap(classes[a], classes[b]), fc
+            joins[group(a)] = group(b)
+        class_pairs = list(combinations(sorted(classes), 2))
+        assert {(a, b) for a, b in class_pairs if group(a) == group(b)} \
+            == {(a, b) for a, b in class_pairs
+                if len(classes[a]) == len(classes[b]) > 1
+                and automorphic(swap(classes[a], classes[b]))}, fc
+        joined += len(swaps)
+    assert joined > 0
+
+
+def _refinements(monkeypatch):
+    """A list that grows by one entry per `_refine` call of the search."""
     refine, calls = canonical._refine, []
 
     def counting_refine(*args):
@@ -256,9 +307,56 @@ def test_simplex_boundary_search_is_one_path(monkeypatch, d):
         refine(*args)
 
     monkeypatch.setattr(canonical, "_refine", counting_refine)
+    return calls
+
+
+@pytest.mark.parametrize("d", [11, 40])
+def test_simplex_boundary_search_is_one_path(monkeypatch, d):
+    # every pair of the d+1 vertices is a twin pair, so the root's one
+    # cell is a twin class: one refinement, at the root, and its first
+    # leaf is the certificate
+    calls = _refinements(monkeypatch)
     fc = FacetComplex(d + 1, d, tuple(combinations(range(d + 1), d)))
     certificate(fc)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fc, expected", [
+    *[pytest.param(_cross_polytope(k), k, id=f"cross-polytope-d{k}") for k in range(3, 9)],
+    *[pytest.param(_disjoint_edges(m), m, id=f"edges-{m}") for m in (10, 60)],
+])
+def test_class_swaps_take_one_refinement_per_class(monkeypatch, fc, expected):
+    # the swaps of whole twin classes are seeds: the first branch
+    # individualizes one vertex per class but the last, which is a twin
+    # leaf, and every other branch is pruned, so the search takes the
+    # root's refinement and one per level.  Found one leaf at a time,
+    # the cross-polytopes took k(k+1)/2 and m edges m(m+1)/2
+    calls = _refinements(monkeypatch)
+    certificate(fc)
+    assert len(calls) == expected
+
+
+def test_degree_start_reaches_the_uniform_root_partition(monkeypatch):
+    # the root starts from its first refinement round, the split by
+    # degree; after the root's refinement its labels, cells and
+    # fingerprints are those refined from equal labels.  The call is made
+    # even when nothing is left to refine, as on a d = 0 complex or a
+    # single vertex
+    refine, calls = canonical._refine, []
+
+    def recording_refine(facets, incidence, labels, cells, prints, changed):
+        refine(facets, incidence, labels, cells, prints, changed)
+        calls.append((facets, incidence, labels.copy(), dict(cells), prints.copy()))
+
+    monkeypatch.setattr(canonical, "_refine", recording_refine)
+    complexes = list(_unpruned_test_complexes()) + [
+        FacetComplex(3, 0, ((),)), FacetComplex(4, 1, ((2,),))]
+    for fc in complexes:
+        calls.clear()
+        certificate(fc)
+        facets, incidence, *root = calls[0]
+        assert tuple(root) == helpers.root_partition_uniform(facets, incidence), fc
+    assert len(complexes) == 322
 
 
 def test_certificate_search_depth_is_bounded():
