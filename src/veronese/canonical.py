@@ -9,8 +9,8 @@ the certificate is the minimal encoding over all leaves of the search.
 
 The partition is ordered, and a vertex's label is the last position of
 its cell.  Labels are then a strictly increasing function of the cells'
-ranks, so every comparison of facet fingerprints (sorted label tuples)
-and of vertex signatures (sorted fingerprint tuples) comes out as it
+ranks, so every comparison of facet fingerprints (which compare as
+sorted label tuples, below) and of vertex signatures (sorted fingerprint tuples) comes out as it
 would on dense ranks, and the refinement splits the same cells into the
 same ordered pieces.  At a leaf every cell is a singleton and each label
 is its rank, so the leaf encodings are those of dense ranks.  The labels
@@ -20,14 +20,30 @@ round retakes only the fingerprints of facets touching a vertex whose
 label changed, and re-sorts only the cells touching such a facet.  Every
 other cell's vertices keep the equal signatures they had.
 
+A fingerprint is kept as one int, not as the sorted tuple: on n
+vertices with facets of size d, label l has the weight
+W[l] = -(d+1)**(n-1-l), and a facet's fingerprint is the sum of its
+labels' weights, so no facet's labels are sorted.  Read the sum with
+its sign flipped as a number in base d+1: its digit at place n-1-l is
+m(l), the number of the facet's labels equal to l.  No digit exceeds d,
+so none carries, and equal sums are equal multisets.  Two multisets
+first differ at their least label l with m(l) unequal, the most
+significant digit where the numbers differ; the one with more copies of
+l has the larger number, so the smaller sum, and it is also the smaller
+sorted tuple: past the labels below l, which the two share, it holds l
+where the other holds a larger label.  So the ints order the facets
+exactly as their sorted label tuples do, and so do the sorted tuples of
+ints that are the signatures and the leaf encodings.  The certificate's
+body is written once, from the best leaf's labels.
+
 The root's refinement starts from its first round, which is known in
-advance.  From equal labels n-1 every fingerprint is (n-1,)*d, so a
-vertex's signature is deg(v) copies of that one tuple, and signatures
-of distinct lengths sort by length: the round splits the vertices by
-degree, in increasing order, each piece in vertex order, and the
-highest-degree piece keeps the label n-1.  So the root is built with
-those pieces as its cells, every fingerprint (n-1,)*d (() for the
-empty facet of d = 0), and refined with the vertices outside the
+advance.  From equal labels n-1 every facet has the fingerprint of d
+labels n-1, so a vertex's signature is deg(v) copies of that one value,
+and signatures of distinct lengths sort by length: the round splits the
+vertices by degree, in increasing order, each piece in vertex order,
+and the highest-degree piece keeps the label n-1.  So the root is built
+with those pieces as its cells, every fingerprint d W[n-1] = -d (0 for
+the empty facet of d = 0), and refined with the vertices outside the
 highest-degree piece as the changed ones.  The labels, cells and
 fingerprints it reaches are those refined from equal labels.
 
@@ -128,21 +144,24 @@ from .errors import DegenerateComplexError
 from .facets import FacetComplex
 
 
-def _refine(facets, incidence, labels, cells, prints, changed):
+def _refine(facets, incidence, weights, labels, cells, prints, changed):
     """Refine the ordered partition to its fixpoint, in place.
 
     labels[v] is the cell-end label of v, cells maps the label of each
-    non-singleton cell to its vertices, and prints[i] is the sorted label
-    tuple of facet i (its fingerprint).  A fingerprint is stale only if
-    the facet touches a vertex in `changed`, the vertices whose label
-    changed since it was taken.  Each round retakes the stale
-    fingerprints, then splits every cell touching a stale facet by its
-    vertices' sorted incident fingerprints; the other cells cannot split.
+    non-singleton cell to its vertices, and prints[i] is the fingerprint
+    of facet i, the sum of weights[label] over its vertices: with
+    weights[l] = -(d+1)**(n-1-l), the ints order the facets as their
+    sorted label tuples do, and are equal exactly when those are (see the
+    module docstring).  A fingerprint is stale only if the facet touches
+    a vertex in `changed`, the vertices whose label changed since it was
+    taken.  Each round retakes the stale fingerprints, then splits every
+    cell touching a stale facet by its vertices' sorted incident
+    fingerprints; the other cells cannot split.
     """
     while changed:
         stale = {i for v in changed for i in incidence[v]}
         for i in stale:
-            prints[i] = tuple(sorted([labels[v] for v in facets[i]]))
+            prints[i] = sum([weights[labels[v]] for v in facets[i]])
         touched = {labels[v] for i in stale for v in facets[i]}.intersection(cells)
         changed = []
         for label in touched:
@@ -182,15 +201,7 @@ def _join(orbits, auto):
             orbits[_orbit(orbits, u)] = _orbit(orbits, w)
 
 
-def _maps_into(facets, present, auto, indices):
-    """Does `auto`, a map of the vertices it moves, take each facet of
-    `indices` to a facet?  Stops at the first that it does not."""
-    get = auto.get
-    return all(tuple(sorted(map(get, facets[i], facets[i]))) in present
-               for i in indices)
-
-
-def _twins(facets, incidence, cells):
+def _twins(masks, incidence, cells):
     """The twin transpositions and the twin-class swaps to seed the
     search with, as maps of the vertices they move.  The transpositions
     are, for each class of twins in a cell of the root partition, the
@@ -198,17 +209,23 @@ def _twins(facets, incidence, cells):
     each group of swappable classes in a cell, the chain of its
     consecutive classes in the order found.
 
+    masks[i] is facet i as a bit mask, bit v for vertex v.  A permutation
+    a of a set M of vertices maps a facet F to (F - M) | a(F & M), and
+    that is F XOR-ed with the flip 1 << u ^ 1 << a(u) of each u in F & M:
+    the flips add the bits of F & M and of a(F & M), a disjoint image
+    since a is injective, so they clear the first and set the second.
+
     (u v) maps the facet set onto itself iff every facet holding u but
-    not v is a facet with u replaced by v: u and v share a cell, so they
-    lie in equally many facets, and the map of those facets onto the
-    ones holding v but not u is then a bijection.  Twins form classes,
-    as (v w)(u v)(v w) = (u w), so v is tested against the last member
-    of a class found before it.  Only classes that share v's closed
-    neighbourhood (the vertices of the facets through v) or its open
-    one (that set without v) are tried: twins in a common facet have
-    equal closed neighbourhoods, and other twins equal open ones.  So
-    the one cell of a long cycle, which has no twins, takes a linear
-    number of tests, not a quadratic one.
+    not v is a facet with u replaced by v, its mask XOR (1 << u | 1 << v):
+    u and v share a cell, so they lie in equally many facets, and the map
+    of those facets onto the ones holding v but not u is then a
+    bijection.  Twins form classes, as (v w)(u v)(v w) = (u w), so v is
+    tested against the last member of a class found before it.  Only
+    classes that share v's closed neighbourhood (the OR of the masks of
+    the facets through v) or its open one (that without bit v) are
+    tried: twins in a common facet have equal closed neighbourhoods, and
+    other twins equal open ones.  So the one cell of a long cycle, which
+    has no twins, takes a linear number of tests, not a quadratic one.
 
     Two classes of one cell and of equal size are swappable when the
     swap of their members, the i-th of one in sorted order with the i-th
@@ -218,18 +235,20 @@ def _twins(facets, incidence, cells):
     tested against the last class of every group of its size found
     before it.
     """
-    present, transpositions, swaps = set(facets), [], []
+    present, transpositions, swaps = set(masks), [], []
     for members in cells.values():
         classes, found = {}, []  # a neighbourhood: the classes with it
         for v in sorted(members):
-            near = frozenset().union(*[facets[i] for i in incidence[v]])
-            keys = near, near - {v}
+            near, bit = 0, 1 << v
+            for i in incidence[v]:
+                near |= masks[i]
+            keys = near, near ^ bit
             for twins in classes.get(keys[0], []) + classes.get(keys[1], []):
                 u = twins[-1]
-                auto = {u: v, v: u}
-                if _maps_into(facets, present, auto,
-                              (i for i in incidence[u] if v not in facets[i])):
-                    transpositions.append(auto)
+                flip = 1 << u | bit
+                if all(masks[i] ^ flip in present
+                       for i in incidence[u] if not masks[i] & bit):
+                    transpositions.append({u: v, v: u})
                     twins.append(v)
                     break
             else:
@@ -241,8 +260,11 @@ def _twins(facets, incidence, cells):
         for twins in [twins for twins in found if len(twins) > 1]:
             for group in groups.setdefault(len(twins), []):
                 auto = dict(zip(group[-1] + twins, twins + group[-1]))
-                if _maps_into(facets, present, auto,
-                              {i for w in auto for i in incidence[w]}):
+                images = {}  # a moved facet: its image so far
+                for u, w in auto.items():
+                    for i in incidence[u]:
+                        images[i] = images.get(i, masks[i]) ^ (1 << u ^ 1 << w)
+                if all(image in present for image in images.values()):
                     swaps.append(auto)
                     group.append(twins)
                     break
@@ -258,10 +280,14 @@ def certificate(fc: FacetComplex) -> bytes:
     fc = fc.restrict_to_vertices()
     n = fc.n_labels
     facets = fc.facets
-    incidence = [[] for _ in range(n)]
+    incidence, masks = [[] for _ in range(n)], []
     for i, f in enumerate(facets):
+        mask = 0
         for v in f:
             incidence[v].append(i)
+            mask |= 1 << v
+        masks.append(mask)
+    weights = [-(fc.d + 1) ** (n - 1 - label) for label in range(n)]
     # the root starts from the first refinement round of equal labels:
     # the vertices split by degree, in increasing order
     groups = {}
@@ -274,10 +300,10 @@ def certificate(fc: FacetComplex) -> bytes:
             labels[v] = end
         if len(group) > 1:
             cells[end] = group
-    prints = [(n - 1,) * fc.d] * len(facets)
-    _refine(facets, incidence, labels, cells, prints,
+    prints = [-fc.d] * len(facets)  # d labels n - 1, of weight -1 each
+    _refine(facets, incidence, weights, labels, cells, prints,
             [v for v in range(n) if labels[v] != n - 1])
-    transpositions, swaps = _twins(facets, incidence, cells)
+    transpositions, swaps = _twins(masks, incidence, cells)
     twin = list(range(n))
     for u, v in transpositions:  # each chain's seeds come in sorted order
         twin[v] = twin[u]
@@ -297,7 +323,7 @@ def certificate(fc: FacetComplex) -> bytes:
                     labels[v] = position
                 peeled += members[:-1]
             for i in {i for v in peeled for i in incidence[v]}:
-                prints[i] = tuple(sorted([labels[v] for v in facets[i]]))
+                prints[i] = sum([weights[labels[v]] for v in facets[i]])
             prefix += tuple(peeled)
             enc = tuple(sorted(prints))
             if best is None or enc < best:
@@ -344,10 +370,12 @@ def certificate(fc: FacetComplex) -> bytes:
             else:
                 del child_cells[target]
             child_prints = prints.copy()
-            _refine(facets, incidence, child_labels, child_cells, child_prints, [v])
+            _refine(facets, incidence, weights, child_labels, child_cells,
+                    child_prints, [v])
             node = (child_labels, child_cells, child_prints, prefix + (v,),
                     [auto for auto in fixing if v not in auto])
-    body = ";".join("-".join(map(str, f)) for f in best)
+    leaf = sorted(tuple(sorted([best_labels[v] for v in f])) for f in facets)
+    body = ";".join("-".join(map(str, f)) for f in leaf)
     return f"{n}:{fc.d}:{body}".encode("ascii")
 
 

@@ -7,7 +7,9 @@ exceptions keep code that the library replaced.  certificate_recursive
 is the search that the iterative certificate replaced, kept on the
 library's refinement so that the two can be compared node for node, and
 root_partition_uniform its root, refined from equal labels where the
-library starts from the split by vertex degree.
+library starts from the split by vertex degree.  twins_literal is the
+twin search on sorted label tuples and frozenset neighbourhoods that the
+bit-mask one replaced.
 classify_literal is the certificate-based classification that the
 arc-based one replaced, kept on the library's facets and certificates.
 With _reference_certificate_literal it is the one certificate-based
@@ -332,16 +334,16 @@ def certificate_literal(fc) -> bytes:
     return f"{n}:{fc.d}:{body}".encode("ascii")
 
 
-def root_partition_uniform(facets, incidence):
+def root_partition_uniform(facets, incidence, weights):
     """The root partition of the certificate search, refined from equal
-    labels: the labels, cells and fingerprints that the library's start
-    from vertex degrees must reach.  Every fingerprint starts as () so
-    that a d = 0 complex's empty facet, which no vertex touches, keeps
-    it."""
+    labels with the library's label weights: the labels, cells and
+    fingerprints that the library's start from vertex degrees must
+    reach.  Every fingerprint starts as 0, the empty sum, so that a
+    d = 0 complex's empty facet, which no vertex touches, keeps it."""
     n = len(incidence)
-    labels, prints = [n - 1] * n, [()] * len(facets)
+    labels, prints = [n - 1] * n, [0] * len(facets)
     cells = {n - 1: list(range(n))} if n > 1 else {}
-    _refine(facets, incidence, labels, cells, prints, range(n))
+    _refine(facets, incidence, weights, labels, cells, prints, range(n))
     return labels, cells, prints
 
 
@@ -360,6 +362,7 @@ def certificate_recursive(fc, seeds=()) -> bytes:
     for i, f in enumerate(facets):
         for v in f:
             incidence[v].append(i)
+    weights = [-(fc.d + 1) ** (n - 1 - label) for label in range(n)]
     best = [None, None, None]  # minimal encoding, its leaf's labels and prefix
     automorphisms = [[auto.get(v, v) for v in range(n)] for auto in seeds]
 
@@ -419,14 +422,15 @@ def certificate_recursive(fc, seeds=()) -> bytes:
             else:
                 del child_cells[target]
             child_prints = prints.copy()
-            _refine(facets, incidence, child_labels, child_cells, child_prints, [v])
+            _refine(facets, incidence, weights, child_labels, child_cells, child_prints,
+                    [v])
             jump = search(child_labels, child_cells, child_prints, prefix + (v,))
             if jump is not None and jump < len(prefix):
                 return jump
         return None
 
-    search(*root_partition_uniform(facets, incidence), ())
-    body = ";".join("-".join(map(str, f)) for f in best[0])
+    search(*root_partition_uniform(facets, incidence, weights), ())
+    body = ";".join("-".join(map(str, f)) for f in encode_literal(facets, best[1]))
     return f"{n}:{fc.d}:{body}".encode("ascii")
 
 
@@ -459,6 +463,53 @@ def certificate_unpruned(fc) -> bytes:
     search(refine_literal(facets, [0] * n))
     body = ";".join("-".join(map(str, f)) for f in best[0])
     return f"{n}:{fc.d}:{body}".encode("ascii")
+
+
+def _maps_into_literal(facets, present, auto, indices):
+    """Does `auto`, a map of the vertices it moves, take each facet of
+    `indices` to a facet?  Stops at the first that it does not."""
+    get = auto.get
+    return all(tuple(sorted(map(get, facets[i], facets[i]))) in present
+               for i in indices)
+
+
+def twins_literal(facets, incidence, cells):
+    """The twin transpositions and twin-class swaps of the root cells,
+    found on sorted label tuples: each facet is mapped vertex by vertex,
+    sorted and looked up, and neighbourhoods are frozensets.  The
+    library's bit-mask search must return the same lists in the same
+    order."""
+    present, transpositions, swaps = set(facets), [], []
+    for members in cells.values():
+        classes, found = {}, []  # a neighbourhood: the classes with it
+        for v in sorted(members):
+            near = frozenset().union(*[facets[i] for i in incidence[v]])
+            keys = near, near - {v}
+            for twins in classes.get(keys[0], []) + classes.get(keys[1], []):
+                u = twins[-1]
+                auto = {u: v, v: u}
+                if _maps_into_literal(facets, present, auto,
+                                      (i for i in incidence[u] if v not in facets[i])):
+                    transpositions.append(auto)
+                    twins.append(v)
+                    break
+            else:
+                twins = [v]
+                found.append(twins)
+                for key in keys:
+                    classes.setdefault(key, []).append(twins)
+        groups = {}  # a class size: the groups of swappable classes of it
+        for twins in [twins for twins in found if len(twins) > 1]:
+            for group in groups.setdefault(len(twins), []):
+                auto = dict(zip(group[-1] + twins, twins + group[-1]))
+                if _maps_into_literal(facets, present, auto,
+                                      {i for w in auto for i in incidence[w]}):
+                    swaps.append(auto)
+                    group.append(twins)
+                    break
+            else:
+                groups[len(twins)].append([twins])
+    return transpositions, swaps
 
 
 def rat_literal(value) -> Fraction:

@@ -1,7 +1,7 @@
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,15 +92,18 @@ def _ranks(labels):
 def test_refinement_matches_literal_at_every_node(monkeypatch):
     # every refinement the search makes ends in the colors the literal
     # refinement reaches from the same start, with cell-end labels,
-    # matching cells and current fingerprints
+    # matching cells and current fingerprints: each the sum of the label
+    # weights -(d+1)**(n-1-label) over the facet's vertices
     refine = canonical._refine
     calls = 0
 
-    def checked(facets, incidence, labels, cells, prints, changed):
+    def checked(facets, incidence, weights, labels, cells, prints, changed):
         nonlocal calls
         calls += 1
+        n, d = len(labels), len(facets[0])
+        assert weights == [-(d + 1) ** (n - 1 - label) for label in range(n)]
         start = _ranks(labels)
-        refine(facets, incidence, labels, cells, prints, changed)
+        refine(facets, incidence, weights, labels, cells, prints, changed)
         assert _ranks(labels) == refine_literal(facets, start)
         assert all(label == sum(w <= label for w in labels) - 1 for label in labels)
         groups = {}
@@ -108,7 +111,7 @@ def test_refinement_matches_literal_at_every_node(monkeypatch):
             groups.setdefault(label, []).append(v)
         assert {label: sorted(members) for label, members in cells.items()} \
             == {label: vs for label, vs in groups.items() if len(vs) > 1}
-        assert prints == [tuple(sorted(labels[v] for v in f)) for f in facets]
+        assert prints == [sum(weights[labels[v]] for v in f) for f in facets]
 
     monkeypatch.setattr(canonical, "_refine", checked)
     for fc in _unpruned_test_complexes():
@@ -298,6 +301,76 @@ def test_twin_seeds_are_the_automorphic_transpositions(monkeypatch):
     assert joined > 0
 
 
+def test_mask_twins_match_the_literal_twin_search(monkeypatch):
+    # the bit-mask twin search returns the transpositions and class swaps
+    # of the search on sorted label tuples, in the same order, on every
+    # root it is called with
+    twins, calls = canonical._twins, []
+
+    def recording_twins(masks, incidence, cells):
+        calls.append((masks, incidence, {label: list(vs) for label, vs in cells.items()}))
+        return twins(masks, incidence, cells)
+
+    monkeypatch.setattr(canonical, "_twins", recording_twins)
+    complexes = [fc for _, fc in _symmetric_complexes()] + list(_unpruned_test_complexes()) + [
+        enumerate_facets_circular(c) for d, row in TABLE_1.items() for n in row
+        for c in _type_candidates(d, n)]
+    seeded = [0, 0]
+    for fc in complexes:
+        calls.clear()
+        certificate(fc)
+        (masks, incidence, cells), = calls
+        facets = fc.restrict_to_vertices().facets
+        assert masks == [sum(1 << v for v in f) for f in facets], fc
+        found = twins(masks, incidence, cells)
+        assert found == helpers.twins_literal(facets, incidence, cells), fc
+        seeded[0] += len(found[0])
+        seeded[1] += len(found[1])
+    assert min(seeded) > 0
+
+
+def _weight_sum(d, n, labels):
+    return sum(-(d + 1) ** (n - 1 - label) for label in labels)
+
+
+def _assert_weights_order(d, n, a, b):
+    """The weight sums of two multisets of d labels below n compare as
+    their sorted tuples do."""
+    x, y = _weight_sum(d, n, a), _weight_sum(d, n, b)
+    a, b = tuple(sorted(a)), tuple(sorted(b))
+    assert ((x < y), (x == y)) == ((a < b), (a == b)), (d, n, a, b)
+
+
+def test_label_weights_order_multisets_as_sorted_tuples():
+    # a fingerprint is the sum of -(d+1)**(n-1-label) over a facet's d
+    # labels: every pair of multisets compares as their sorted tuples,
+    # exhaustively on small n and d (d = 0 and 1, n = 1 included), and on
+    # random pairs up to n = 1000, whose weights are ints of about
+    # n log2(d+1) bits; pairs there share all but one or two labels, so
+    # that the ints differ in low digits
+    for n in range(1, 7):
+        for d in range(5):
+            multisets = list(combinations_with_replacement(range(n), d))
+            for a in multisets:
+                for b in multisets:
+                    _assert_weights_order(d, n, a, b)
+    rng = random.Random(35)
+    for _ in range(3000):
+        n, d = rng.choice((1, 2, 7, 60, 1000)), rng.randint(0, 12)
+        a = [rng.randrange(n) for _ in range(d)]
+        b = list(a)
+        for _ in range(rng.randint(0, min(d, 2))):
+            b[rng.randrange(d)] = rng.randrange(n)
+        _assert_weights_order(d, n, a, b)
+        _assert_weights_order(d, n, a, [rng.randrange(n) for _ in range(d)])
+    # d copies of the least label against d copies of the next one, and
+    # of the greatest: the extremes of the base-(d+1) digits
+    for n, d in ((1000, 1), (1000, 12), (2, 40)):
+        _assert_weights_order(d, n, [0] * d, [1] * d)
+        _assert_weights_order(d, n, [0] * d, [0] * (d - 1) + [n - 1])
+        _assert_weights_order(d, n, [n - 1] * d, [n - 2] + [n - 1] * (d - 1))
+
+
 def _refinements(monkeypatch):
     """A list that grows by one entry per `_refine` call of the search."""
     refine, calls = canonical._refine, []
@@ -344,9 +417,10 @@ def test_degree_start_reaches_the_uniform_root_partition(monkeypatch):
     # single vertex
     refine, calls = canonical._refine, []
 
-    def recording_refine(facets, incidence, labels, cells, prints, changed):
-        refine(facets, incidence, labels, cells, prints, changed)
-        calls.append((facets, incidence, labels.copy(), dict(cells), prints.copy()))
+    def recording_refine(facets, incidence, weights, labels, cells, prints, changed):
+        refine(facets, incidence, weights, labels, cells, prints, changed)
+        calls.append((facets, incidence, weights, labels.copy(), dict(cells),
+                      prints.copy()))
 
     monkeypatch.setattr(canonical, "_refine", recording_refine)
     complexes = list(_unpruned_test_complexes()) + [
@@ -354,8 +428,8 @@ def test_degree_start_reaches_the_uniform_root_partition(monkeypatch):
     for fc in complexes:
         calls.clear()
         certificate(fc)
-        facets, incidence, *root = calls[0]
-        assert tuple(root) == helpers.root_partition_uniform(facets, incidence), fc
+        facets, incidence, weights, *root = calls[0]
+        assert tuple(root) == helpers.root_partition_uniform(facets, incidence, weights), fc
     assert len(complexes) == 322
 
 
