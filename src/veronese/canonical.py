@@ -34,7 +34,9 @@ sorted tuple: past the labels below l, which the two share, it holds l
 where the other holds a larger label.  So the ints order the facets
 exactly as their sorted label tuples do, and so do the sorted tuples of
 ints that are the signatures and the leaf encodings.  The certificate's
-body is written once, from the best leaf's labels.
+body is written once, from the best leaf's labels: each facet's labels
+sorted as a list, the lists sorted (lists compare as the tuples would),
+and every label written through one table of the strings of 0..n-1.
 
 The root's refinement starts from its first round, which is known in
 advance.  From equal labels n-1 every facet has the fingerprint of d
@@ -50,7 +52,10 @@ fingerprints it reaches are those refined from equal labels.
 The search is pruned by the automorphisms it finds (McKay and Piperno,
 "Practical graph isomorphism, II", 2014).  A leaf whose encoding equals
 the best one so far yields an automorphism: the vertex of label k in one
-leaf maps to the vertex of label k in the other.  Refinement commutes
+leaf maps to the vertex of label k in the other.  A leaf's labels are a
+permutation of 0..n-1, so the best leaf's inverse is one list, filled
+when the best leaf changes and read by every equal leaf after it.
+Refinement commutes
 with automorphisms, so an automorphism that fixes a node's
 individualized vertices maps the subtree under one child onto the
 subtree under another, with the same set of leaf encodings.
@@ -105,7 +110,9 @@ subtree under another, with the same set of leaf encodings.
   Every other leaf below the node differs from it by a product of twin
   transpositions, which fixes the node's prefix, so all of them have
   its encoding.  On a simplex's boundary the root's one cell is a twin
-  class, and the search makes the root's refinement only.
+  class, and the search makes the root's refinement only.  With no twin
+  transpositions every class is a singleton, so a node is a twin leaf
+  exactly when its partition is discrete, and only that is tested.
 
 The search is a loop over `path`, the inner nodes of the current branch,
 one per depth, so no call frame is taken per level.  Each node keeps
@@ -307,11 +314,15 @@ def certificate(fc: FacetComplex) -> bytes:
     twin = list(range(n))
     for u, v in transpositions:  # each chain's seeds come in sorted order
         twin[v] = twin[u]
+    vertex_of = [0] * n  # the vertex of each label in the best leaf
     best, path = None, []  # the minimal encoding; one inner node per depth
     node = labels, cells, prints, (), transpositions + swaps
     while node is not None:
         labels, cells, prints, prefix, fixing = node
-        if any(len({twin[v] for v in members}) > 1 for members in cells.values()):
+        # with no twin transpositions every twin class is a singleton,
+        # so only a discrete partition is a twin leaf
+        if (any(len({twin[v] for v in members}) > 1 for members in cells.values())
+                if transpositions else cells):
             path.append((labels, cells, prints, prefix, fixing, {},
                          iter(sorted(cells[min(cells)])), []))
         else:
@@ -328,10 +339,11 @@ def certificate(fc: FacetComplex) -> bytes:
             enc = tuple(sorted(prints))
             if best is None or enc < best:
                 best, best_labels, best_prefix = enc, labels, prefix
+                for v, label in enumerate(labels):
+                    vertex_of[label] = v
             elif enc == best:
                 # equal encodings: the vertex of label k here maps to the
                 # vertex of label k in the best leaf, an automorphism
-                vertex_of = {label: v for v, label in enumerate(best_labels)}
                 auto = {v: vertex_of[label] for v, label in enumerate(labels)
                         if vertex_of[label] != v}
                 # back-jump to the deepest common ancestor of the two leaves
@@ -374,8 +386,9 @@ def certificate(fc: FacetComplex) -> bytes:
                     child_prints, [v])
             node = (child_labels, child_cells, child_prints, prefix + (v,),
                     [auto for auto in fixing if v not in auto])
-    leaf = sorted(tuple(sorted([best_labels[v] for v in f])) for f in facets)
-    body = ";".join("-".join(map(str, f)) for f in leaf)
+    names = [str(label) for label in range(n)]
+    leaf = sorted([sorted([best_labels[v] for v in f]) for f in facets])
+    body = ";".join(["-".join([names[label] for label in f]) for f in leaf])
     return f"{n}:{fc.d}:{body}".encode("ascii")
 
 

@@ -135,6 +135,24 @@ def test_classify_counts_the_facets_of_its_own_cyclic_reference_once(monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("d, n", [(4, 9), (5, 10), (6, 11)])
+def test_table_report_counts_the_cyclic_reference_once_per_cell(monkeypatch, d, n):
+    # every type counts its own facets, and the types of one cell share
+    # one count of their cyclic reference's
+    from veronese import classify
+    from veronese.canonical import table_report
+
+    count, calls = classify.facet_count, []
+
+    def counting_facet_count(c):
+        calls.append(c)
+        return count(c)
+
+    monkeypatch.setattr(classify, "facet_count", counting_facet_count)
+    (row,) = table_report([d], [n])
+    assert len(calls) == row["count"] + 1
+
+
 def test_classify_flags_match_the_recognizers():
     from veronese.canonical import _type_candidates
 
